@@ -12,11 +12,17 @@ verdict. Both sides are measured with a single pedantic round.
 The acceptance gate is >=10x *per-row* throughput between the two
 sides; ``test_bench_portfolio_throughput_gate`` enforces it directly
 (the recorded means cover different row counts, so the snapshot
-comparison alone cannot).
+comparison alone cannot). ``test_bench_portfolio_chunked_rss_gate``
+holds ``chunk_size`` to its promise as the memory bound: chunks reduce
+to per-cell partials, so the sweep never holds the 6.4M-row detail.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro.portfolio import (
     default_catalog,
@@ -110,3 +116,54 @@ def test_bench_portfolio_throughput_gate():
         f"batched sweep only {speedup:.1f}x faster per row "
         f"({batch_per_row * 1e6:.2f}us vs {scalar_per_row * 1e6:.2f}us)"
     )
+
+
+_RSS_SCRIPT = """
+import dataclasses, resource
+from repro.portfolio import default_catalog, sweep_portfolio
+from repro.scenarios import ScenarioGrid
+
+grid = ScenarioGrid(**{
+    "node_shift": [0.0, 1.0, 2.0, 3.0],
+    "fab_intensity_g_per_kwh": [583.0, 400.0, 250.0, 100.0],
+    "lifetime_scale": [1.0, 1.1, 1.25, 1.5],
+})
+catalog = tuple(
+    dataclasses.replace(
+        spec,
+        name=f"{spec.name}_{spin}",
+        die_area_mm2=spec.die_area_mm2 * (1.0 + 0.1 * (spin % 7) / 7.0),
+        units=spec.units / 12_500,
+    )
+    for spin in range(12_500)
+    for spec in default_catalog()
+)
+table = sweep_portfolio(catalog, grid, chunk_size=5000)
+assert table.num_rows == 64 and table.column("devices") == [100_000] * 64
+try:
+    with open("/proc/self/status") as status:
+        peak = next(line for line in status if line.startswith("VmHWM:"))
+    print(peak.split()[1])
+except (OSError, StopIteration):
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_bench_portfolio_chunked_rss_gate():
+    """100k devices x 64 cells at ``chunk_size=5000`` stays under 250 MB.
+
+    Runs in a fresh interpreter so the peak belongs to this sweep
+    alone. The child reports its address space's high-water mark
+    (``VmHWM``, KiB) where Linux exposes it: ``ru_maxrss`` survives
+    ``exec`` and would carry the forking test process's own peak.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb < 250.0, f"sweep peak RSS {peak_mb:.0f} MB at chunk_size=5000"

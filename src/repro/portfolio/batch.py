@@ -18,6 +18,8 @@ columns are ``(devices, 1)``, scenario-varying overrides are
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -61,6 +63,7 @@ _NUMERIC_FIELDS = tuple(
     for spec_field in dataclasses.fields(DeviceSpec)
     if spec_field.name not in ("name", "manufacturer", "node", "yield_model")
 )
+_numeric_values = operator.attrgetter(*_NUMERIC_FIELDS)
 
 #: Figure 14 gas split and material split, as in ``from_node``.
 _PFC_SHARE = 0.50
@@ -78,13 +81,39 @@ def _node_index(name: Any) -> int:
     return _NODE_INDEX[name]
 
 
+def _device_columns(specs: Sequence[DeviceSpec]) -> tuple:
+    """A catalog's parameters as row-sliceable arrays, gathered once.
+
+    Returns ``(numeric, node_axis, murphy_mask, names)``: a ``(devices,
+    fields)`` matrix of the numeric fields, ``(devices, 1)`` node and
+    yield-model columns, and the device names. Slicing all four by one
+    row range gives a sub-catalog, so sharded sweeps gather once and
+    ship arrays to their chunks instead of :class:`DeviceSpec` objects.
+    """
+    if not specs:
+        raise SimulationError("need at least one device in the portfolio")
+    numeric = np.fromiter(
+        itertools.chain.from_iterable(map(_numeric_values, specs)),
+        dtype=np.float64,
+        count=len(specs) * len(_NUMERIC_FIELDS),
+    ).reshape(len(specs), -1)
+    node_axis = np.array(
+        [float(_NODE_INDEX[spec.node]) for spec in specs], dtype=np.float64
+    ).reshape(-1, 1)
+    murphy_mask = np.array(
+        [spec.yield_model == "murphy" for spec in specs], dtype=bool
+    ).reshape(-1, 1)
+    return numeric, node_axis, murphy_mask, [spec.name for spec in specs]
+
+
 def _parameter_grid(
-    specs: Sequence[DeviceSpec],
+    columns: tuple,
     records: Sequence[Mapping[str, Any]],
     matrix: Any = None,
 ) -> tuple:
     """Broadcastable parameter arrays for (devices × scenario cells).
 
+    ``columns`` is (a row slice of) :func:`_device_columns` output.
     Device columns come out ``(devices, 1)``; scenario-record overrides
     replace them with ``(1, cells)`` rows, where ``cells`` is
     ``scenarios`` for point sweeps or ``scenarios × draws`` when a
@@ -93,24 +122,14 @@ def _parameter_grid(
     convention). Returns ``(params, node_axis, murphy_mask, names,
     scenario_fields)``.
     """
-    if not specs:
-        raise SimulationError("need at least one device in the portfolio")
     if not records:
         raise SimulationError("need at least one scenario")
     draws = matrix.draws if matrix is not None else 1
-    params: dict[str, np.ndarray] = {
-        name: np.array(
-            [float(getattr(spec, name)) for spec in specs], dtype=np.float64
-        ).reshape(-1, 1)
-        for name in _NUMERIC_FIELDS
-    }
-    node_axis = np.array(
-        [float(_NODE_INDEX[spec.node]) for spec in specs], dtype=np.float64
-    ).reshape(-1, 1)
-    murphy_mask = np.array(
-        [spec.yield_model == "murphy" for spec in specs], dtype=bool
-    ).reshape(-1, 1)
-    names = [spec.name for spec in specs]
+    numeric, node_axis, murphy_mask, names = columns
+    # Contiguous (devices, 1) columns: strided views slow small kernels.
+    params = dict(
+        zip(_NUMERIC_FIELDS, np.ascontiguousarray(numeric.T)[..., None])
+    )
     scenario_fields: set[str] = set()
     for name in records[0]:
         if name not in OVERRIDABLE_FIELDS:
@@ -359,11 +378,6 @@ def _metrics(
     return metrics
 
 
-def _flat(array: np.ndarray, shape: "tuple[int, int]") -> np.ndarray:
-    """Broadcast a parameter/metric to ``shape`` and flatten row-major."""
-    return np.ascontiguousarray(np.broadcast_to(array, shape)).reshape(-1)
-
-
 def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
     """Simulate a catalog of devices in one struct-of-arrays call.
 
@@ -375,7 +389,7 @@ def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
     """
     specs = tuple(specs)
     params, node_axis, murphy_mask, names, scenario_fields = _parameter_grid(
-        specs, [{}]
+        _device_columns(specs), [{}]
     )
     with active_recorder().span(
         "batch", fn="simulate_device_batch", scenarios=len(specs)

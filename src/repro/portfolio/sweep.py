@@ -8,19 +8,23 @@ the same decision space with distribution-tagged axes (fab-yield and
 lifetime bands through the shared :mod:`repro.uncertainty.draws` path)
 and returns an :class:`~repro.uncertainty.UncertainResult`.
 
-Sharding is over the *device* axis (scenarios stay whole): each chunk
-emits per-(device, cell) detail rows, ``Table.concat`` stacks them —
-bit-identical for any chunk/job geometry by construction — and the
-driver reduces over devices with :func:`math.fsum`. ``fsum`` is exactly
-rounded, so fleet aggregates are not merely reproducible but
-*permutation-invariant* over the device axis and independent of chunk
-geometry, down to the last bit. The fault-tolerance knobs
-(``retries``/``timeout``/``on_error``/``checkpoint``) forward to
-:func:`repro.exec.run_sharded` unchanged.
+Sharding is over the *device* axis (scenarios stay whole). The sweep
+gathers the catalog's parameter columns once and ships row slices to
+the chunks; each chunk reduces its own (device, cell) quantities to an
+*exact expansion* per cell — a few floats whose real sum is the chunk's
+column sum with no rounding (:func:`_exact_partials`) — so a chunk
+result is O(cells) whatever its device count. The sweep then runs one
+:func:`math.fsum` per cell over every chunk's expansion. ``fsum`` is
+correctly rounded, so each aggregate is the exact device sum rounded
+once: bit-identical to ``fsum`` over all the rows, independent of chunk
+and job geometry, and *permutation-invariant* over the device axis. The
+fault-tolerance knobs (``retries``/``timeout``/``on_error``/
+``checkpoint``) forward to :func:`repro.exec.run_sharded` unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -39,7 +43,7 @@ from ..tabular import Table
 from ..uncertainty.draws import _check_records, build_draw_matrix
 from ..uncertainty.result import UncertainResult
 from ..uncertainty.sweeps import _axes_table, _kept_axis_names, _reshape_metrics
-from .batch import _flat, _metrics, _parameter_grid
+from .batch import _device_columns, _metrics, _parameter_grid
 from .catalog import OVERRIDABLE_FIELDS, DeviceSpec
 
 __all__ = ["PORTFOLIO_METRICS", "sweep_portfolio", "sweep_portfolio_uncertain"]
@@ -56,8 +60,17 @@ PORTFOLIO_METRICS = (
     "break_even_days_mean",
 )
 
-#: Per-(device, cell) detail columns the chunk kernels emit.
-_DETAIL_METRICS = ("embodied_kg", "use_kg", "annual_kg", "break_even_days")
+#: Extraction levels before a column's leftover residuals ship raw; the
+#: portfolio quantities clear in two or three.
+_MAX_LEVELS = 6
+#: Largest ``log2(σ)`` extracted. Larger columns ship raw, keeping every
+#: expansion float within ``2**1000``, so merging the expansions of up
+#: to a million chunks cannot overflow where ``fsum`` over rows would not.
+_MAX_SIGMA_EXPONENT = 1000
+#: Chunks of at most this many (device, cell) values ship their rows raw:
+#: rows are their own exact expansion, and below ~2k values numpy's
+#: per-call overhead makes the extraction slower than ``fsum`` over rows.
+_RAW_VALUES = 2048
 
 
 def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
@@ -75,106 +88,129 @@ def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
             )
 
 
-def _detail_table(
-    start: int, stop: int, cells: int, grid: tuple
-) -> Table:
-    """Detail rows for devices ``[start, stop)``: device-major flatten."""
-    params, node_axis, murphy_mask, names, scenario_fields = grid
-    metrics = _metrics(params, node_axis, murphy_mask, names, scenario_fields)
-    shape = (stop - start, cells)
-    columns: dict[str, Any] = {
-        "device": np.repeat(np.arange(start, stop, dtype=np.int64), cells),
-        "cell": np.tile(np.arange(cells, dtype=np.int64), stop - start),
-        "units": _flat(params["units"], shape),
+def _exact_partials(values: np.ndarray) -> "list[list[float]]":
+    """Per-column exact expansions of a ``(rows, columns)`` float array.
+
+    Each column's list of floats has the column sum as its exact real
+    sum, so :func:`math.fsum` over the lists of any row blocks is the
+    correctly rounded sum of all their rows. Each level is a
+    Rump–Ogita–Oishi error-free extraction: with ``σ = 2**(M + e)``,
+    ``2**M >= rows + 2`` and ``2**e`` above the column's largest
+    residual ``r``, the high parts ``q = (σ + r) − σ`` sum exactly in
+    any order and ``r − q`` is exact. Columns holding a non-finite
+    value or a σ above ``2**_MAX_SIGMA_EXPONENT`` ship their values
+    raw, as do residuals left after :data:`_MAX_LEVELS` levels, so
+    ``fsum`` meets their inf, nan and overflow as it would in the rows.
+    """
+    shift = (len(values) + 1).bit_length()
+    residual = np.array(values, dtype=np.float64)
+    high = np.abs(residual)
+    top = high.max(axis=0, initial=0.0)
+    raw = ~np.isfinite(top) | (np.frexp(top)[1] + shift > _MAX_SIGMA_EXPONENT)
+    residual[:, raw] = 0.0
+    top[raw] = 0.0
+    levels = []
+    while top.any() and len(levels) < _MAX_LEVELS:
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)
+        np.add(residual, sigma, out=high)
+        high -= sigma
+        levels.append(high.sum(axis=0))
+        residual -= high
+        top = np.abs(residual, out=high).max(axis=0)
+    partials = np.reshape(levels, (len(levels), residual.shape[1])).T.tolist()
+    for column in np.flatnonzero(raw):
+        partials[column] += values[:, column].tolist()
+    for column in np.flatnonzero(top):
+        leftover = residual[:, column]
+        partials[column] += leftover[leftover != 0.0].tolist()
+    return partials
+
+
+def _chunk_partials(grid: tuple, cells: int) -> tuple:
+    """``(devices, {quantity: per-cell expansions})`` for one chunk."""
+    params, names = grid[0], grid[3]
+    metrics = _metrics(*grid)
+    units = params["units"]
+    quantities = {
+        name: metrics[name] * units
+        for name in ("embodied_kg", "use_kg", "annual_kg")
     }
-    for metric in _DETAIL_METRICS:
-        columns[metric] = _flat(metrics[metric], shape)
-    return Table(columns)
+    quantities.update(units=units, break_even_days=metrics["break_even_days"])
+    raw = len(names) * cells <= _RAW_VALUES
+    partials = {}
+    for name, values in quantities.items():
+        block = np.broadcast_to(values, (len(names), values.shape[1]))
+        columns = block.T.tolist() if raw else _exact_partials(block)
+        # A device-only quantity has one column: its sum in every cell.
+        partials[name] = columns if len(columns) == cells else columns * cells
+    return len(names), partials
 
 
-def _portfolio_chunk(payload: tuple, start: int, stop: int) -> Table:
+def _portfolio_chunk(payload: tuple, start: int, stop: int) -> tuple:
     """Chunk kernel: devices ``[start, stop)`` × every scenario.
 
     Module-level so :func:`repro.exec.run_sharded` workers can import
     it by name; scenarios are never sharded, so every chunk shares the
-    full scenario axis and detail rows concat device-major.
+    full scenario axis and returns one expansion per cell.
     """
-    specs, records = payload
-    chunk = specs[start:stop]
-    return _detail_table(
-        start, stop, len(records), _parameter_grid(chunk, records)
-    )
+    columns, records = payload
+    rows = tuple(part[start:stop] for part in columns)
+    return _chunk_partials(_parameter_grid(rows, records), len(records))
 
 
-def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> Table:
+def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> tuple:
     """Chunk kernel: devices ``[start, stop)`` × every (scenario, draw).
 
     The draw matrix is rebuilt from the full scenario records —
     per-scenario seeded streams make it identical in every chunk — so
     sharding the device axis never perturbs the samples.
     """
-    specs, records, draws, seed = payload
-    chunk = specs[start:stop]
+    columns, records, draws, seed = payload
+    rows = tuple(part[start:stop] for part in columns)
     matrix = build_draw_matrix(records, draws, seed)
-    return _detail_table(
-        start, stop, len(records) * draws,
-        _parameter_grid(chunk, records, matrix),
-    )
+    grid = _parameter_grid(rows, records, matrix)
+    return _chunk_partials(grid, len(records) * draws)
 
 
-def _column_sums(matrix: np.ndarray) -> np.ndarray:
-    """Exactly rounded per-column sums over the device axis.
+def _run_chunks(
+    kernel: Any, payload: tuple, plan: ShardPlan, on_error: str,
+    span: "dict[str, Any]", **options: Any,
+) -> tuple:
+    """Run a chunk kernel over the device axis: ``(chunks, report)``.
 
-    :func:`math.fsum` is correctly rounded, so the result is the same
-    for *any* ordering or chunking of the device rows — the foundation
-    of the portfolio's permutation- and shard-invariance guarantees.
+    ``report`` is the ``FailureReport`` under ``on_error="skip"`` and
+    ``None`` otherwise, decided by the mode, not the result's shape.
     """
-    return np.array(
-        [
-            math.fsum(column)
-            for column in np.ascontiguousarray(matrix.T).tolist()
-        ],
-        dtype=np.float64,
-    )
+    with active_recorder().span("batch", **span):
+        result = run_sharded(kernel, payload, plan, on_error=on_error, **options)
+    return result if on_error == "skip" else (result, None)
 
 
-def _aggregate_detail(detail: Table, cells: int) -> "dict[str, np.ndarray]":
-    """Reduce per-device detail rows to per-cell fleet aggregates."""
-    if cells <= 0 or detail.num_rows % cells:
-        raise SimulationError(
-            f"detail table has {detail.num_rows} rows, not a multiple of "
-            f"{cells} scenario cells"
-        )
-    devices = detail.num_rows // cells
-
-    def grid_of(name: str) -> np.ndarray:
-        return np.asarray(detail.column(name), dtype=np.float64).reshape(
-            devices, cells
-        )
-
-    units = grid_of("units")
-    embodied_sum = _column_sums(grid_of("embodied_kg") * units)
-    use_sum = _column_sums(grid_of("use_kg") * units)
-    annual_sum = _column_sums(grid_of("annual_kg") * units)
+def _fleet_aggregates(
+    chunks: Sequence[tuple], cells: int
+) -> "dict[str, np.ndarray]":
+    """Per-cell fleet aggregates: one ``fsum`` over every chunk's floats."""
+    devices = sum(count for count, _ in chunks)
+    sums = {
+        name: np.array([
+            math.fsum(itertools.chain.from_iterable(parts))
+            for parts in zip(*(partials[name] for _, partials in chunks))
+        ])
+        for name in chunks[0][1]
+    }
+    embodied_sum, use_sum = sums["embodied_kg"], sums["use_kg"]
     embodied_t = embodied_sum / _KG_PER_TONNE
     use_t = use_sum / _KG_PER_TONNE
     return {
         "devices": np.full(cells, devices, dtype=np.int64),
-        "units": _column_sums(units),
+        "units": sums["units"],
         "embodied_t": embodied_t,
         "use_t": use_t,
         "total_t": embodied_t + use_t,
-        "annual_t": annual_sum / _KG_PER_TONNE,
+        "annual_t": sums["annual_kg"] / _KG_PER_TONNE,
         "embodied_fraction": embodied_sum / (embodied_sum + use_sum),
-        "break_even_days_mean": _column_sums(grid_of("break_even_days"))
-        / devices,
+        "break_even_days_mean": sums["break_even_days"] / devices,
     }
-
-
-def _portfolio_table(
-    detail: Table, records: Sequence[Mapping[str, Any]], keep: Sequence[str]
-) -> Table:
-    return _attach_axes(records, Table(_aggregate_detail(detail, len(records))), keep=keep)
 
 
 def sweep_portfolio(
@@ -206,54 +242,24 @@ def sweep_portfolio(
     devices whose chunks survived.
     """
     specs = tuple(catalog)
-    if not specs:
-        raise SimulationError("need at least one device in the portfolio")
+    columns = _device_columns(specs)
     records = _check_records(list(scenarios))
     _reject_distribution_values(records)
     _validate_axis_names(records)
-    keep = _scalar_axis_names(records)
-    plan = ShardPlan.plan(len(specs), chunk_size, jobs)
-    payload = (specs, records)
-    with active_recorder().span(
-        "batch",
-        fn="sweep_portfolio",
-        scenarios=len(records),
-        devices=len(specs),
-    ):
-        result = run_sharded(
-            _portfolio_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
-    if isinstance(result, tuple):
-        detail, report = result
-        return _portfolio_table(detail, records, keep), report
-    return _portfolio_table(result, records, keep)
-
-
-def _portfolio_uncertain_result(
-    detail: Table,
-    records: Sequence[Mapping[str, Any]],
-    kept: Sequence[str],
-    draws: int,
-    seed: int,
-) -> UncertainResult:
-    aggregates = _aggregate_detail(detail, len(records) * draws)
-    flat = Table({metric: aggregates[metric] for metric in PORTFOLIO_METRICS})
-    return UncertainResult(
-        axes=_axes_table(records, keep=kept),
-        samples=_reshape_metrics(
-            flat, PORTFOLIO_METRICS, len(records), draws
-        ),
-        draws=draws,
-        seed=seed,
+    chunks, report = _run_chunks(
+        _portfolio_chunk,
+        (columns, records),
+        ShardPlan.plan(len(specs), chunk_size, jobs),
+        on_error,
+        {"fn": "sweep_portfolio", "scenarios": len(records), "devices": len(specs)},
+        jobs=jobs, retries=retries, timeout=timeout, checkpoint=checkpoint,
     )
+    table = _attach_axes(
+        records,
+        Table(_fleet_aggregates(chunks, len(records))),
+        keep=_scalar_axis_names(records),
+    )
+    return table if report is None else (table, report)
 
 
 def sweep_portfolio_uncertain(
@@ -286,37 +292,26 @@ def sweep_portfolio_uncertain(
     ``(UncertainResult, FailureReport)`` pair over surviving devices.
     """
     specs = tuple(catalog)
-    if not specs:
-        raise SimulationError("need at least one device in the portfolio")
+    columns = _device_columns(specs)
     records = _check_records(list(scenarios))
     _validate_axis_names(records)
     if draws <= 0:
         raise SimulationError("draw count must be positive")
-    kept = _kept_axis_names(records)
-    plan = ShardPlan.plan(len(specs), chunk_size, jobs)
-    payload = (specs, records, draws, seed)
-    with active_recorder().span(
-        "batch",
-        fn="sweep_portfolio_uncertain",
-        scenarios=len(records),
+    chunks, report = _run_chunks(
+        _portfolio_uncertain_chunk,
+        (columns, records, draws, seed),
+        ShardPlan.plan(len(specs), chunk_size, jobs),
+        on_error,
+        {"fn": "sweep_portfolio_uncertain", "scenarios": len(records),
+         "draws": draws, "devices": len(specs)},
+        jobs=jobs, retries=retries, timeout=timeout, checkpoint=checkpoint,
+    )
+    aggregates = _fleet_aggregates(chunks, len(records) * draws)
+    flat = Table({metric: aggregates[metric] for metric in PORTFOLIO_METRICS})
+    result = UncertainResult(
+        axes=_axes_table(records, keep=_kept_axis_names(records)),
+        samples=_reshape_metrics(flat, PORTFOLIO_METRICS, len(records), draws),
         draws=draws,
-        devices=len(specs),
-    ):
-        result = run_sharded(
-            _portfolio_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
-        )
-    if isinstance(result, tuple):
-        detail, report = result
-        return (
-            _portfolio_uncertain_result(detail, records, kept, draws, seed),
-            report,
-        )
-    return _portfolio_uncertain_result(result, records, kept, draws, seed)
+        seed=seed,
+    )
+    return result if report is None else (result, report)
