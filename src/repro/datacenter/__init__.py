@@ -13,6 +13,7 @@ from .facility import Facility
 from .renewable import PPAContract, RenewablePortfolio
 from .fleet import (
     FleetBatchResult,
+    FleetFrame,
     FleetParameters,
     FleetYearReport,
     simulate_fleet,
@@ -49,6 +50,7 @@ __all__ = [
     "FleetParameters",
     "FleetYearReport",
     "FleetBatchResult",
+    "FleetFrame",
     "simulate_fleet",
     "simulate_fleet_batch",
     "DiurnalGridModel",

@@ -11,7 +11,8 @@ variants and the opex/capex split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,10 +25,13 @@ from .renewable import RenewablePortfolio
 from .server import ServerConfig
 
 __all__ = [
+    "DRAWABLE_PATHS",
+    "FleetFrame",
     "FleetParameters",
     "FleetYearReport",
     "FleetBatchResult",
     "simulate_fleet",
+    "check_frame_paths",
     "simulate_fleet_batch",
 ]
 
@@ -266,36 +270,190 @@ class FleetBatchResult:
         )
 
 
-def _portfolio_schedule(
-    params: FleetParameters, horizon: int, cache: dict[int, tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-year (has_contracts, supply_joules, contracted_g_per_kwh).
+#: The kernel's per-cell inputs that a sweep may replace: dotted
+#: :class:`FleetParameters` paths to numeric leaves. The kernel
+#: truncates the counts (servers, years, start year) toward zero.
+DRAWABLE_PATHS = (
+    "initial_servers", "annual_growth", "utilization", "years", "start_year",
+    "server.lifetime_years", "server.idle_power.watts_value",
+    "server.peak_power.watts_value", "facility.pue",
+    "facility.construction_carbon.grams", "facility.lifetime_years",
+    "location_intensity.grams_per_kwh",
+)
 
-    Expands the sparse ``renewable_ramp`` into dense per-year arrays,
-    holding the last defined portfolio across gap years exactly like
-    the scalar loop does.
+#: The dataclasses' ``__post_init__`` rules as (path, comparison,
+#: bound): every cell must satisfy ``comparison(column, bound)``. A
+#: string bound names another path's column. Counts must reach 1
+#: because the kernel truncates them.
+_RULES = (
+    ("initial_servers", np.greater_equal, 1),
+    ("annual_growth", np.greater_equal, 0.0),
+    ("utilization", np.greater_equal, 0.0),
+    ("utilization", np.less_equal, 1.0),
+    ("years", np.greater_equal, 1),
+    ("server.lifetime_years", np.greater, 0.0),
+    ("server.peak_power.watts_value", np.greater, 0.0),
+    ("server.idle_power.watts_value", np.greater_equal, 0.0),
+    ("server.idle_power.watts_value", np.less_equal, "server.peak_power.watts_value"),
+    ("facility.pue", np.greater_equal, 1.0),
+    ("facility.construction_carbon.grams", np.greater_equal, 0.0),
+    ("facility.lifetime_years", np.greater, 0.0),
+    ("location_intensity.grams_per_kwh", np.greater_equal, 0.0),
+)
+_SYMBOLS = {np.greater: ">", np.greater_equal: ">=", np.less_equal: "<="}
+
+
+def check_frame_paths(paths: Sequence[str]) -> None:
+    """Reject duplicate paths and paths outside :data:`DRAWABLE_PATHS`.
+
+    Unknown fields, paths below a numeric leaf and whole objects
+    (``server``, which would overlap its leaves) have no column.
     """
-    has = np.zeros(horizon, dtype=bool)
-    supply = np.zeros(horizon, dtype=np.float64)
-    contracted = np.zeros(horizon, dtype=np.float64)
-    portfolio = RenewablePortfolio()
-    for index in range(params.years):
-        portfolio = params.renewable_ramp.get(index, portfolio)
-        if not portfolio.contracts:
-            continue
-        key = id(portfolio)
-        if key not in cache:
-            cache[key] = (
+    for index, path in enumerate(paths):
+        if path in paths[:index]:
+            raise SimulationError(f"duplicate override path {path!r}")
+        if path not in DRAWABLE_PATHS:
+            raise SimulationError(
+                f"cannot draw {path!r}: it has no fleet frame column; "
+                f"drawable paths are {list(DRAWABLE_PATHS)}"
+            )
+
+
+def _portfolio_schedule(
+    ramp: Mapping[int, RenewablePortfolio], width: int
+) -> np.ndarray:
+    """Per-year (supply_joules, contracted_g_per_kwh), shape ``(2, width)``.
+
+    Holds the last defined portfolio across gap years exactly like the
+    scalar loop does. A year holds contracts exactly when its supply is
+    positive (every contract's energy is).
+    """
+    schedule = np.zeros((2, width))
+    held = (0.0, 0.0)
+    for index in range(width):
+        if index in ramp:
+            portfolio = ramp[index]
+            held = (
                 portfolio.annual_supply.joules,
                 portfolio.contracted_intensity().grams_per_kwh,
             )
-        has[index] = True
-        supply[index], contracted[index] = cache[key]
-    return has, supply, contracted
+        schedule[:, index] = held
+    return schedule
+
+
+@dataclass(frozen=True)
+class FleetFrame:
+    """Struct-of-arrays input of :func:`simulate_fleet_batch`.
+
+    ``columns`` holds one ``(cells,)`` array per kernel input: each of
+    :data:`DRAWABLE_PATHS`, ``per_server_grams`` (embodied carbon per
+    server) and ``ramp``, the cell's row in ``schedule``. ``schedule``
+    is ``(2, ramps, width)``: per distinct renewable ramp and year, the
+    contracted supply in joules and its g/kWh. It is dense up to the
+    last year any cell simulates or any ramp entry names; later years
+    hold the final column, as the scalar loop holds the last defined
+    portfolio, so a cell's ``years`` can grow without re-expanding its
+    ramp.
+    """
+
+    columns: dict[str, np.ndarray]
+    schedule: np.ndarray
+
+    @property
+    def num_cells(self) -> int:
+        return len(self.columns["years"])
+
+    @classmethod
+    def from_parameters(
+        cls,
+        scenarios: Sequence[FleetParameters],
+        embodied: EmbodiedModel | None = None,
+    ) -> "FleetFrame":
+        """Gather one cell per :class:`FleetParameters`.
+
+        Embodied carbon is computed once per distinct bill of materials,
+        which ``dataclasses.replace``-derived SKU variants share.
+        """
+        if not scenarios:
+            raise SimulationError("need at least one scenario")
+        embodied = embodied or EmbodiedModel()
+        columns = {
+            path: np.array(list(map(attrgetter(path), scenarios)), dtype=np.float64)
+            for path in DRAWABLE_PATHS
+        }
+        servers = {id(params.server.bill): params.server for params in scenarios}
+        grams = {key: s.embodied_carbon(embodied).grams for key, s in servers.items()}
+        columns["per_server_grams"] = np.array(
+            [grams[id(params.server.bill)] for params in scenarios]
+        )
+        ramps = {id(p.renewable_ramp): p.renewable_ramp for p in scenarios}
+        rows = {key: row for row, key in enumerate(ramps)}
+        columns["ramp"] = np.array([rows[id(p.renewable_ramp)] for p in scenarios])
+        width = max(
+            int(columns["years"].max()),
+            *(max(ramp, default=-1) + 1 for ramp in ramps.values()),
+        )
+        schedule = [_portfolio_schedule(ramp, width) for ramp in ramps.values()]
+        frame = cls(columns, np.stack(schedule, axis=1))
+        # Float-valued counts pass their dataclass checks but truncate.
+        frame._check(("initial_servers", "years"), "scenario {}".format)
+        return frame
+
+    def repeat(self, count: int) -> "FleetFrame":
+        """Every cell repeated ``count`` times in a row (cell-major)."""
+        return FleetFrame(
+            {k: np.repeat(v, count) for k, v in self.columns.items()}, self.schedule
+        )
+
+    def with_paths(
+        self,
+        values: Mapping[str, np.ndarray],
+        where: "Callable[[int], str] | None" = None,
+    ) -> "FleetFrame":
+        """This frame with ``(cells,)`` values swapped in for some paths.
+
+        New values must be finite and pass the rules the dataclasses'
+        ``__post_init__`` enforce; the first cell that breaks one
+        raises, named by ``where(cell)`` (default ``"cell {index}"``),
+        with its path and value.
+        """
+        check_frame_paths(list(values))
+        columns = dict(self.columns)
+        for path, given in values.items():
+            columns[path] = np.asarray(given, dtype=np.float64)
+            if columns[path].shape != (self.num_cells,):
+                raise SimulationError(
+                    f"{path!r} needs {self.num_cells} values, "
+                    f"got shape {columns[path].shape}"
+                )
+        frame = FleetFrame(columns, self.schedule)
+        frame._check(values, where or "cell {}".format)
+        return frame
+
+    def _check(self, paths: Iterable[str], where: Callable[[int], str]) -> None:
+        """Raise at the first cell with non-finite ``paths`` or a broken rule."""
+        paths = list(paths)
+        checks = [(path, "finite", np.isfinite(self.columns[path])) for path in paths]
+        for path, compare, bound in _RULES:
+            if path in paths or bound in paths:
+                limit = self.columns[bound] if isinstance(bound, str) else bound
+                checks.append((
+                    path,
+                    f"{_SYMBOLS[compare]} {bound}",
+                    compare(self.columns[path], limit),
+                ))
+        for path, requirement, kept in checks:
+            bad = np.flatnonzero(~kept)
+            if bad.size:
+                raise SimulationError(
+                    f"{where(int(bad[0]))}: {path} = "
+                    f"{self.columns[path][bad[0]].item()!r} must be {requirement} "
+                    f"({bad.size} of {self.num_cells} cells break it)"
+                )
 
 
 def simulate_fleet_batch(
-    scenarios: Sequence[FleetParameters],
+    scenarios: "Sequence[FleetParameters] | FleetFrame",
     embodied: EmbodiedModel | None = None,
 ) -> FleetBatchResult:
     """Run many fleet simulations as one years × scenarios kernel.
@@ -305,75 +463,40 @@ def simulate_fleet_batch(
     wide scenario axis with numpy. The cohort/refresh ring becomes a
     rolling gather on the purchase history: the cohort retired in year
     ``i`` is exactly the one purchased in year ``i - lifetime``.
-    Per-SKU embodied carbon is computed once per distinct
-    :class:`ServerConfig` instead of once per scenario.
+
+    ``scenarios`` is a :class:`FleetFrame` or a sequence of
+    :class:`FleetParameters`, which :meth:`FleetFrame.from_parameters`
+    gathers first (``embodied`` only matters for that gather).
     """
-    if not scenarios:
-        raise SimulationError("need at least one scenario")
-    embodied = embodied or EmbodiedModel()
-    count = len(scenarios)
-    horizon = max(params.years for params in scenarios)
-
-    # Embodied carbon depends only on the bill of materials, which
-    # dataclasses.replace-derived SKU variants share — so scenario
-    # grids over e.g. lifetime hit one embodied evaluation per bill.
-    embodied_cache: dict[int, float] = {}
-
-    def per_server_grams(server: ServerConfig) -> float:
-        key = id(server.bill)
-        if key not in embodied_cache:
-            embodied_cache[key] = server.embodied_carbon(embodied).grams
-        return embodied_cache[key]
-
-    initial = np.array([p.initial_servers for p in scenarios], dtype=np.int64)
-    growth = np.array([p.annual_growth for p in scenarios], dtype=np.float64)
-    years = np.array([p.years for p in scenarios], dtype=np.int64)
-    start_years = np.array([p.start_year for p in scenarios], dtype=np.int64)
-    lifetime = np.array(
-        [max(int(round(p.server.lifetime_years)), 1) for p in scenarios],
-        dtype=np.int64,
+    frame = scenarios
+    if not isinstance(frame, FleetFrame):
+        frame = FleetFrame.from_parameters(scenarios, embodied)
+    column = frame.columns
+    initial, years = (
+        column[path].astype(np.int64) for path in ("initial_servers", "years")
     )
-    # Same arithmetic order as ServerConfig.power_at/annual_energy.
-    idle = np.array(
-        [p.server.idle_power.watts_value for p in scenarios], dtype=np.float64
+    count, horizon = frame.num_cells, int(years.max())
+    lifetime = np.maximum(np.rint(column["server.lifetime_years"]).astype(np.int64), 1)
+    # Same arithmetic order as ServerConfig.power_at/annual_energy and
+    # Facility.construction_per_year.
+    idle = column["server.idle_power.watts_value"]
+    span = column["server.peak_power.watts_value"] - idle
+    annual_joules = (idle + span * column["utilization"]) * SECONDS_PER_YEAR
+    construction = column["facility.construction_carbon.grams"] * (
+        1.0 / column["facility.lifetime_years"]
     )
-    span = np.array(
-        [p.server.peak_power.watts_value for p in scenarios], dtype=np.float64
-    ) - idle
-    utilization = np.array([p.utilization for p in scenarios], dtype=np.float64)
-    annual_joules = (idle + span * utilization) * SECONDS_PER_YEAR
-    pue = np.array([p.facility.pue for p in scenarios], dtype=np.float64)
-    location = np.array(
-        [p.location_intensity.grams_per_kwh for p in scenarios], dtype=np.float64
-    )
-    per_server = np.array(
-        [per_server_grams(p.server) for p in scenarios], dtype=np.float64
-    )
-    construction = np.array(
-        [p.facility.construction_per_year().grams for p in scenarios],
-        dtype=np.float64,
-    )
+    growth, pue = column["annual_growth"], column["facility.pue"]
+    location = column["location_intensity.grams_per_kwh"]
+    per_server = column["per_server_grams"]
+    ramp, last_year = column["ramp"], frame.schedule.shape[2] - 1
 
-    portfolio_cache: dict[int, tuple[float, float]] = {}
-    has_contracts = np.zeros((count, horizon), dtype=bool)
-    supply_joules = np.zeros((count, horizon), dtype=np.float64)
-    contracted = np.zeros((count, horizon), dtype=np.float64)
-    for index, params in enumerate(scenarios):
-        has, supply, gpk = _portfolio_schedule(params, horizon, portfolio_cache)
-        has_contracts[index] = has
-        supply_joules[index] = supply
-        contracted[index] = gpk
-
-    servers = np.zeros((count, horizon), dtype=np.int64)
-    purchased = np.zeros((count, horizon), dtype=np.int64)
-    energy_joules = np.zeros((count, horizon), dtype=np.float64)
-    opex_location = np.zeros((count, horizon), dtype=np.float64)
-    opex_market = np.zeros((count, horizon), dtype=np.float64)
-    capex = np.zeros((count, horizon), dtype=np.float64)
-    coverage = np.zeros((count, horizon), dtype=np.float64)
-
-    rows = np.arange(count)
-    fleet = initial.copy()
+    # FleetBatchResult's per-year fields, in order, written for the cells
+    # still simulating so the rest stay zero. Servers added doubles as the
+    # purchase history: a cell only retires cohorts from years it simulated.
+    fields = [np.zeros((count, horizon), dtype=np.int64) for _ in range(2)]
+    fields += [np.zeros((count, horizon)) for _ in range(5)]
+    history, offsets = fields[1].reshape(-1), np.arange(count) * horizon
+    fleet = initial
     for index in range(horizon):
         active = index < years
         if index == 0:
@@ -385,49 +508,36 @@ def simulate_fleet_batch(
             retire_from = index - lifetime
             retired = np.where(
                 retire_from >= 0,
-                purchased[rows, np.maximum(retire_from, 0)],
+                history.take(offsets + np.maximum(retire_from, 0)),
                 0,
             )
             bought = (grown - fleet) + retired
             fleet = np.where(active, grown, fleet)
-        purchased[active, index] = bought[active]
-        servers[active, index] = fleet[active]
 
-        it_joules = annual_joules * fleet.astype(np.float64)
-        total_joules = it_joules * pue
+        total_joules = annual_joules * fleet.astype(np.float64) * pue
         kwh = total_joules / JOULES_PER_KWH
         year_location = location * kwh
 
-        has = has_contracts[:, index]
-        if np.any(has & (total_joules <= 0.0)):
+        supply, contracted = frame.schedule[:, :, min(index, last_year)].take(
+            ramp, axis=1
+        )
+        has = supply > 0.0
+        if np.any(has & active & (total_joules <= 0.0)):
             raise SimulationError("demand must be positive")
         with np.errstate(divide="ignore", invalid="ignore"):
             raw_coverage = np.minimum(
-                supply_joules[:, index]
-                / np.where(total_joules > 0.0, total_joules, 1.0),
-                1.0,
+                supply / np.where(total_joules > 0.0, total_joules, 1.0), 1.0
             )
         year_coverage = np.where(has, raw_coverage, 0.0)
         market_intensity = (
-            location * (1.0 - year_coverage) + contracted[:, index] * year_coverage
+            location * (1.0 - year_coverage) + contracted * year_coverage
         )
         year_market = np.where(has, market_intensity * kwh, year_location)
         year_capex = per_server * bought.astype(np.float64) + construction
-
-        energy_joules[active, index] = total_joules[active]
-        opex_location[active, index] = year_location[active]
-        opex_market[active, index] = year_market[active]
-        capex[active, index] = year_capex[active]
-        coverage[active, index] = year_coverage[active]
-
-    return FleetBatchResult(
-        start_years=start_years,
-        years=years,
-        servers=servers,
-        servers_added=purchased,
-        energy_joules=energy_joules,
-        opex_location_grams=opex_location,
-        opex_market_grams=opex_market,
-        capex_grams=capex,
-        renewable_coverage=coverage,
-    )
+        values = (
+            fleet, bought, total_joules, year_location, year_market,
+            year_capex, year_coverage,
+        )
+        for out, value in zip(fields, values):
+            np.copyto(out[:, index], value, where=active)
+    return FleetBatchResult(column["start_year"].astype(np.int64), years, *fields)

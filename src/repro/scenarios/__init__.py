@@ -14,7 +14,6 @@ from .grid import ScenarioGrid, ScenarioSet
 from .presets import example_service_mix, facebook_like_fleet, wind_solar_portfolio
 from .runner import (
     SWEEPS,
-    OverridePlan,
     SweepSpec,
     apply_overrides,
     fleet_scenario_parameters,
@@ -33,7 +32,6 @@ __all__ = [
     "example_service_mix",
     "wind_solar_portfolio",
     "apply_overrides",
-    "OverridePlan",
     "fleet_scenario_parameters",
     "sweep_fleet",
     "sweep_provisioning",

@@ -54,7 +54,6 @@ from .presets import example_service_mix, facebook_like_fleet
 
 __all__ = [
     "apply_overrides",
-    "OverridePlan",
     "fleet_scenario_parameters",
     "sweep_fleet",
     "sweep_provisioning",
@@ -65,24 +64,6 @@ __all__ = [
     "run_sweep",
     "run_uncertain_sweep",
 ]
-
-#: Field-name sets per dataclass type; override application is the
-#: (scenarios × draws) hot loop of the uncertainty engine, and
-#: rebuilding the set on every path lookup dominated it.
-_FIELD_NAMES: dict[type, frozenset[str]] = {}
-
-
-def _field_names(obj: Any) -> frozenset[str]:
-    cls = type(obj)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = (
-            frozenset(field.name for field in dataclasses.fields(obj))
-            if dataclasses.is_dataclass(obj)
-            else frozenset()
-        )
-        _FIELD_NAMES[cls] = names
-    return names
 
 
 def apply_overrides(base: Any, overrides: Mapping[str, Any]) -> Any:
@@ -100,7 +81,8 @@ def apply_overrides(base: Any, overrides: Mapping[str, Any]) -> Any:
 
 def _replace_path(obj: Any, path: str, value: Any) -> Any:
     head, _, rest = path.partition(".")
-    if head not in _field_names(obj):
+    fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+    if head not in {field.name for field in fields}:
         raise SimulationError(
             f"cannot override {path!r}: {type(obj).__name__} has no field "
             f"{head!r}"
@@ -108,87 +90,6 @@ def _replace_path(obj: Any, path: str, value: Any) -> Any:
     if rest:
         value = _replace_path(getattr(obj, head), rest, value)
     return dataclasses.replace(obj, **{head: value})
-
-
-class OverridePlan:
-    """Compiled dotted-path overrides for one fixed set of paths.
-
-    ``apply_overrides`` walks and validates each path on every call and
-    rebuilds every dataclass along it per path; applying the *same*
-    paths tens of thousands of times — the (scenarios × draws)
-    expansion in :mod:`repro.uncertainty` — wants that work hoisted.
-    The plan validates the paths against a template object once,
-    groups them by the nested object they touch, and then applies all
-    of a draw's values with one ``dataclasses.replace`` per touched
-    object. For disjoint paths the result is value-identical to
-    sequential :func:`apply_overrides`.
-    """
-
-    def __init__(self, template: Any, paths: Sequence[str]) -> None:
-        self._paths = tuple(paths)
-        self._path_set = frozenset(self._paths)
-        if len(self._path_set) != len(self._paths):
-            raise SimulationError(f"duplicate override paths in {list(paths)}")
-        self._tree = self._compile(template, self._paths, "")
-
-    @property
-    def paths(self) -> tuple[str, ...]:
-        return self._paths
-
-    @staticmethod
-    def _compile(
-        template: Any, paths: Sequence[str], prefix: str
-    ) -> dict[str, Any]:
-        """Group paths into a field tree: leaf -> None, node -> subtree."""
-        by_head: dict[str, list[str]] = {}
-        for path in paths:
-            head, _, rest = path.partition(".")
-            if head not in _field_names(template):
-                full = f"{prefix}{path}"
-                raise SimulationError(
-                    f"cannot override {full!r}: "
-                    f"{type(template).__name__} has no field {head!r}"
-                )
-            by_head.setdefault(head, []).append(rest)
-        tree: dict[str, Any] = {}
-        for head, rests in by_head.items():
-            if all(rests):
-                tree[head] = OverridePlan._compile(
-                    getattr(template, head), rests, f"{prefix}{head}."
-                )
-            elif len(rests) == 1:
-                tree[head] = None
-            else:
-                raise SimulationError(
-                    f"conflicting override paths: {prefix}{head!r} overlaps "
-                    + str([
-                        f"{prefix}{head}.{rest}" for rest in rests if rest
-                    ])
-                )
-        return tree
-
-    def apply(self, base: Any, values: Mapping[str, Any]) -> Any:
-        """``base`` with every planned path replaced by ``values[path]``."""
-        if values.keys() != self._path_set:
-            raise SimulationError(
-                f"plan covers {list(self._paths)}, got values for "
-                f"{list(values)}"
-            )
-        return self._apply(base, self._tree, "", values)
-
-    def _apply(
-        self, obj: Any, tree: dict[str, Any], prefix: str, values: Mapping[str, Any]
-    ) -> Any:
-        kwargs = {}
-        for head, subtree in tree.items():
-            path = f"{prefix}{head}"
-            if subtree is None:
-                kwargs[head] = values[path]
-            else:
-                kwargs[head] = self._apply(
-                    getattr(obj, head), subtree, f"{path}.", values
-                )
-        return dataclasses.replace(obj, **kwargs)
 
 
 def _reject_distribution_values(scenarios: Sequence[Mapping[str, Any]]) -> None:

@@ -563,6 +563,24 @@ class Table:
             raise TableError(f"unknown column {name!r}; have {self.column_names}")
         return _as_list(self._columns[name])
 
+    def array(self, name: str) -> np.ndarray:
+        """The named column as a read-only numpy array.
+
+        Zero-copy for numpy-backed columns: the array is a read-only
+        view of the table's own storage. List-backed columns (mixed or
+        non-scalar values) come back as a new object array holding the
+        same Python values, so nothing is coerced.
+        """
+        if name not in self._columns:
+            raise TableError(f"unknown column {name!r}; have {self.column_names}")
+        backing = self._columns[name]
+        if isinstance(backing, np.ndarray):
+            array = backing.view()
+        else:
+            array = np.fromiter(backing, dtype=object, count=len(backing))
+        array.flags.writeable = False
+        return array
+
     def to_records(self) -> list[Row]:
         return list(self)
 

@@ -3,10 +3,11 @@
 An :class:`UncertainResult` is the uncertainty-aware analogue of the
 deterministic sweep tables: one *row* per scenario, but every metric
 now carries a full ``(scenarios, draws)`` sample matrix instead of a
-point estimate. Summaries are computed through
-:class:`repro.analysis.uncertainty.UncertaintyResult` one scenario at
-a time, so every mean and percentile is bit-identical to what the
-scalar Monte Carlo reference reports for the same samples.
+point estimate. Summaries reduce each ``(scenarios, draws)`` matrix
+along the draw axis in one numpy call; on C-contiguous rows that is
+the same arithmetic :class:`repro.analysis.uncertainty.UncertaintyResult`
+applies to one scenario, so every mean and percentile is bit-identical
+to what the scalar Monte Carlo reference reports for the same samples.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class UncertainResult:
         expected = (self.axes.num_rows, self.draws)
         checked: dict[str, np.ndarray] = {}
         for name, values in self.samples.items():
-            array = np.asarray(values, dtype=np.float64)
+            array = np.ascontiguousarray(values, dtype=np.float64)
             if array.shape != expected:
                 raise SimulationError(
                     f"metric {name!r} has shape {array.shape}, expected "
@@ -143,13 +144,7 @@ class UncertainResult:
             raise SimulationError(
                 f"band needs 0 <= low < high <= 100, got ({low}, {high})"
             )
-        matrix = self.samples_for(metric)
-        rows = [UncertaintyResult(row) for row in matrix]
-        return (
-            np.array([row.percentile(low) for row in rows]),
-            np.array([row.percentile(50.0) for row in rows]),
-            np.array([row.percentile(high) for row in rows]),
-        )
+        return tuple(np.percentile(self.samples_for(metric), [low, 50.0, high], axis=1))
 
     def quantile_table(
         self, quantiles: Sequence[float] = DEFAULT_QUANTILES
@@ -164,16 +159,16 @@ class UncertainResult:
             raise SimulationError("need at least one quantile")
         if sorted(quantiles) != quantiles:
             raise SimulationError(f"quantiles must be ascending, got {quantiles}")
+        names = [quantile_column(q) for q in quantiles]
         columns: dict[str, object] = {
             name: self.axes.column(name) for name in self.axes.column_names
         }
         for metric, matrix in self.samples.items():
-            rows = [UncertaintyResult(row) for row in matrix]
-            columns[f"{metric}_mean"] = np.array([row.mean for row in rows])
-            for q in quantiles:
-                columns[f"{metric}_{quantile_column(q)}"] = np.array(
-                    [row.percentile(q) for row in rows]
-                )
+            columns[f"{metric}_mean"] = np.mean(matrix, axis=1)
+            for name, values in zip(
+                names, np.percentile(matrix, quantiles, axis=1)
+            ):
+                columns[f"{metric}_{name}"] = values
         return Table(columns)
 
     def metric_summary(

@@ -36,7 +36,7 @@ import numpy as np
 from ..analysis.uncertainty import is_distribution
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID, region_names
-from ..datacenter.fleet import FleetParameters, simulate_fleet_batch
+from ..datacenter.fleet import FleetFrame, FleetParameters, simulate_fleet_batch
 from ..datacenter.heterogeneity import (
     ServerType,
     WorkloadClass,
@@ -46,7 +46,7 @@ from ..datacenter.heterogeneity import (
 from ..errors import SimulationError
 from ..exec import ShardPlan, run_sharded
 from ..obs.recorder import active_recorder
-from ..scenarios.runner import OverridePlan, _scalar_axis_names, apply_overrides
+from ..scenarios.runner import _scalar_axis_names, apply_overrides
 from ..tabular import Table
 from ..units import CarbonIntensity
 from .draws import DrawMatrix, _check_records, build_draw_matrix
@@ -153,7 +153,7 @@ def _reshape_metrics(
     """
     samples: dict[str, np.ndarray] = {}
     for metric in metrics:
-        matrix = np.asarray(table.column(metric), dtype=np.float64).reshape(
+        matrix = np.asarray(table.array(metric), dtype=np.float64).reshape(
             num_scenarios, draws
         )
         if metric not in allow_non_finite:
@@ -176,36 +176,24 @@ def _fleet_uncertain_chunk(payload: tuple, start: int, stop: int) -> UncertainRe
     Rebuilds the chunk's draw matrix from the global scenario records —
     per-scenario ``default_rng(seed)`` streams make those rows
     identical to the monolithic matrix — so nothing but record dicts
-    crosses the process boundary.
+    crosses the process boundary. Fixed values build one
+    :class:`FleetParameters` per scenario; its frame row is repeated
+    per draw and each drawn path's samples replace their column.
     """
     base, records, draws, seed, embodied, keep = payload
     chunk = records[start:stop]
     matrix = build_draw_matrix(chunk, draws, seed)
-    expanded: list[FleetParameters] = []
-    plan = OverridePlan(base, matrix.names) if matrix.names else None
-    for index, record in enumerate(chunk):
-        fixed = {
-            name: value
-            for name, value in record.items()
-            if name not in matrix.values
-        }
-        scenario_base = apply_overrides(base, fixed) if fixed else base
-        if plan is None:
-            expanded.extend([scenario_base] * draws)
-            continue
-        columns = [matrix.values[name][index] for name in matrix.names]
-        for draw in range(draws):
-            expanded.append(
-                plan.apply(
-                    scenario_base,
-                    {
-                        name: float(column[draw])
-                        for name, column in zip(matrix.names, columns)
-                    },
-                )
-            )
-    batch = simulate_fleet_batch(expanded, embodied)
-    final = batch.final_year_table()
+    fixed = [
+        {name: value for name, value in record.items() if name not in matrix.values}
+        for record in chunk
+    ]
+    scenario_bases = [apply_overrides(base, values) for values in fixed]
+    frame = FleetFrame.from_parameters(scenario_bases, embodied).repeat(draws)
+    frame = frame.with_paths(
+        {name: matrix.values[name].reshape(-1) for name in matrix.names},
+        where=lambda cell: f"scenario {start + cell // draws}, draw {cell % draws}",
+    )
+    final = simulate_fleet_batch(frame).final_year_table()
     return UncertainResult(
         axes=_axes_table(chunk, keep=keep, offset=start),
         samples=_reshape_metrics(
@@ -240,14 +228,19 @@ def sweep_fleet_uncertain(
 
     Every scenario's tagged parameters are sampled ``draws`` times
     (per-scenario ``default_rng(seed)`` streams — see
-    :mod:`repro.uncertainty.draws`), the (scenarios × draws) parameter
-    sets are expanded through a compiled
-    :class:`~repro.scenarios.runner.OverridePlan`, and one
+    :mod:`repro.uncertainty.draws`). Point values are applied once per
+    scenario; the (scenarios × draws) cells never become dataclasses:
+    each drawn path's samples go straight into its
+    :class:`~repro.datacenter.fleet.FleetFrame` column (so only
+    :data:`~repro.datacenter.fleet.DRAWABLE_PATHS` may carry
+    distributions), and one
     :func:`~repro.datacenter.fleet.simulate_fleet_batch` call scores
-    them all per chunk. Metrics are the final simulated year's fleet
-    columns. ``jobs``/``chunk_size`` shard the scenario axis; peak
-    kernel memory is bounded by ``chunk_size × draws`` parameter sets
-    and the samples are bit-identical for every configuration.
+    them all per chunk. Draws that break a parameter rule (PUE below
+    1, utilization above 1, ...) raise naming scenario, draw and path.
+    Metrics are the final simulated year's fleet columns.
+    ``jobs``/``chunk_size`` shard the scenario axis; peak kernel
+    memory is bounded by ``chunk_size × draws`` cells and the samples
+    are bit-identical for every configuration.
 
     Non-finite samples raise, mirroring the scalar ``monte_carlo``
     guard — except ``capex_to_opex_market``, where inf is the kernel's

@@ -8,7 +8,6 @@ from repro.datacenter.fleet import simulate_fleet
 from repro.errors import SimulationError
 from repro.scenarios import (
     SWEEPS,
-    OverridePlan,
     ScenarioGrid,
     ScenarioSet,
     apply_overrides,
@@ -85,43 +84,6 @@ class TestApplyOverrides:
             apply_overrides(base, {"server.not_a_field": 1})
         with pytest.raises(SimulationError):
             apply_overrides(base, {"annual_growth.too_deep": 1})
-
-
-class TestOverridePlan:
-    def test_matches_sequential_apply_overrides(self):
-        base = facebook_like_fleet()
-        overrides = {
-            "annual_growth": 0.4,
-            "server.lifetime_years": 2.5,
-            "server.idle_power": base.server.idle_power,
-            "facility.pue": 1.35,
-        }
-        plan = OverridePlan(base, list(overrides))
-        assert plan.apply(base, overrides) == apply_overrides(base, overrides)
-        # The compiled plan is reusable across value sets.
-        second = dict(overrides, annual_growth=0.1)
-        assert plan.apply(base, second) == apply_overrides(base, second)
-
-    def test_paths_validated_at_compile_time(self):
-        base = facebook_like_fleet()
-        with pytest.raises(SimulationError):
-            OverridePlan(base, ["not_a_field"])
-        with pytest.raises(SimulationError):
-            OverridePlan(base, ["server.not_a_field"])
-        with pytest.raises(SimulationError):
-            OverridePlan(base, ["utilization", "utilization"])
-        # A path may not overlap another path's prefix.
-        with pytest.raises(SimulationError):
-            OverridePlan(base, ["server", "server.lifetime_years"])
-
-    def test_value_set_must_cover_the_plan(self):
-        base = facebook_like_fleet()
-        plan = OverridePlan(base, ["utilization", "facility.pue"])
-        with pytest.raises(SimulationError):
-            plan.apply(base, {"utilization": 0.5})
-        # Same cardinality but wrong keys is a diagnostic, not KeyError.
-        with pytest.raises(SimulationError):
-            plan.apply(base, {"utilization": 0.5, "facility.puee": 1.2})
 
 
 class TestDistributionGuards:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import TableError
@@ -88,6 +89,30 @@ class TestAccess:
     def test_unknown_column_raises(self, devices):
         with pytest.raises(TableError):
             devices.column("nope")
+
+    def test_array_is_a_read_only_zero_copy_view(self, devices):
+        kg = devices.array("kg")
+        assert kg.dtype == np.float64
+        assert kg.tolist() == devices.column("kg")
+        assert not kg.flags.writeable
+        with pytest.raises(ValueError):
+            kg[0] = 1.0
+        # Every call views the same storage; nothing is copied.
+        assert np.shares_memory(kg, devices.array("kg"))
+        assert devices.column("kg")[0] == 60.0
+
+    def test_array_serves_list_backed_columns(self):
+        table = Table({"mixed": [1, 2.5, "x"], "pairs": [(1, 2), (3, 4), (5, 6)]})
+        mixed = table.array("mixed")
+        assert mixed.dtype == object
+        assert mixed.tolist() == [1, 2.5, "x"]
+        assert table.array("pairs").shape == (3,)
+        assert table.array("pairs")[1] == (3, 4)
+        assert not mixed.flags.writeable
+
+    def test_array_unknown_column_raises(self, devices):
+        with pytest.raises(TableError):
+            devices.array("nope")
 
     def test_to_records_roundtrip(self, devices):
         assert Table.from_records(devices.to_records()) == devices

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.uncertainty import Fixed, LogNormal, Normal, Uniform
 from repro.errors import SimulationError
@@ -145,6 +146,54 @@ class TestUncertainResult:
             result.band("m", low=95.0, high=5.0)
         with pytest.raises(SimulationError):
             result.quantile_table(quantiles=(95.0, 5.0))
+        with pytest.raises(SimulationError):
+            result.quantile_table(quantiles=(5.0, 101.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenarios=st.integers(min_value=1, max_value=4),
+        draws=st.sampled_from([1, 2, 3, 8, 9, 129, 256]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        inf_cells=st.integers(min_value=0, max_value=3),
+    )
+    def test_summaries_equal_the_per_row_reference(
+        self, scenarios, draws, seed, inf_cells
+    ):
+        # quantile_table/band reduce whole matrices in one numpy call;
+        # the per-scenario UncertaintyResult arithmetic is the reference.
+        from repro.analysis.uncertainty import UncertaintyResult
+
+        rng = np.random.default_rng(seed)
+        matrix = rng.lognormal(0.0, 2.0, size=(scenarios, draws))
+        for _ in range(inf_cells):  # capex_to_opex_market's inf sentinel
+            matrix[rng.integers(scenarios), rng.integers(draws)] = np.inf
+        result = UncertainResult(
+            axes=Table({"x": list(range(scenarios))}),
+            samples={"m": matrix},
+            draws=draws,
+            seed=seed,
+        )
+        quantiles = (0.0, 2.5, 5.0, 50.0, 97.5, 100.0)
+        table = result.quantile_table(quantiles)
+        low, median, high = result.band("m", 2.5, 97.5)
+        for scenario, row in enumerate(matrix):
+            reference = UncertaintyResult(row)
+
+            def same(got, want):
+                return got == want or (np.isnan(got) and np.isnan(want))
+
+            assert same(table.column("m_mean")[scenario], reference.mean)
+            for q in quantiles:
+                got = table.column(f"m_{quantile_column(q)}")[scenario]
+                assert same(got, reference.percentile(q))
+            assert same(low[scenario], reference.percentile(2.5))
+            assert same(median[scenario], reference.percentile(50.0))
+            assert same(high[scenario], reference.percentile(97.5))
+            summary = result.metric_summary(scenario, quantiles).row(0)
+            assert same(summary["mean"], reference.mean)
+            assert same(summary["std"], reference.std)
+            for q in quantiles:
+                assert same(summary[quantile_column(q)], reference.percentile(q))
 
 
 class TestSweepPlumbing:
@@ -191,10 +240,10 @@ class TestSweepPlumbing:
             sweep_temporal_shifting_uncertain(draws=0)
 
     def test_expand_records_matches_the_fleet_sweep_expansion(self):
-        # expand_records and sweep_fleet_uncertain's OverridePlan path
-        # implement the same scenario-major/draw-minor contract; this
-        # pins them to each other so neither can drift off the
-        # `s * draws + d` axis convention alone.
+        # expand_records and sweep_fleet_uncertain's frame path (drawn
+        # columns repeated scenario-major) implement the same
+        # scenario-major/draw-minor contract; this pins them to each
+        # other so neither can drift off the `s * draws + d` convention.
         from repro.datacenter.fleet import simulate_fleet
         from repro.scenarios import apply_overrides
 
