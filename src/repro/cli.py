@@ -497,33 +497,23 @@ def _command_checks() -> int:
     return 0 if not failing else 1
 
 
-def _split_sweep_outcome(outcome: object, on_error: str) -> tuple:
-    """Unpack a sweep return value into ``(result, report)``.
-
-    Under ``on_error="skip"`` the runners return a ``(result,
-    FailureReport)`` pair; otherwise the result alone.
-    """
-    if on_error == "skip":
-        result, report = outcome
-        return result, (report if report else None)
-    return outcome, None
-
-
 def _command_sweep(
     name: str,
     markdown: bool,
     draws: int | None,
     seed: int | None,
     band: str | None,
-    jobs: int,
-    chunk_size: int | None,
     cache_dir: str | None,
-    retries: int | None,
-    timeout: float | None,
-    on_error: str,
     resume: bool,
+    options: dict,
 ) -> int:
-    from .exec import CheckpointStore, ResultCache, cache_key, package_fingerprint
+    from .exec import (
+        CheckpointStore,
+        ResultCache,
+        cache_key,
+        package_fingerprint,
+        split_outcome,
+    )
     from .experiments.markdown import markdown_table
     from .report.tables import render_table
     from .scenarios import SWEEPS, run_sweep, run_uncertain_sweep
@@ -565,18 +555,10 @@ def _command_sweep(
                 if disk is not None
                 else None
             )
-            outcome = run_sweep(
-                name,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                retries=retries,
-                timeout=timeout,
-                on_error=on_error,
-                checkpoint=checkpoint,
-            )
-            table, report = _split_sweep_outcome(outcome, on_error)
+            outcome = run_sweep(name, checkpoint=checkpoint, **options)
+            table, report = split_outcome(outcome, options["on_error"])
             # A partial table must never be served as the sweep's result.
-            if disk is not None and report is None:
+            if disk is not None and not report:
                 disk.put(key, table)
         footer = f"{table.num_rows} scenarios, batched kernels"
     else:
@@ -598,18 +580,10 @@ def _command_sweep(
                 else None
             )
             outcome = run_uncertain_sweep(
-                name,
-                draws,
-                seed_value,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                retries=retries,
-                timeout=timeout,
-                on_error=on_error,
-                checkpoint=checkpoint,
+                name, draws, seed_value, checkpoint=checkpoint, **options
             )
-            result, report = _split_sweep_outcome(outcome, on_error)
-            if disk is not None and report is None:
+            result, report = split_outcome(outcome, options["on_error"])
+            if disk is not None and not report:
                 disk.put(key, result)
         if band is not None and band not in result.metric_names:
             print(
@@ -642,7 +616,7 @@ def _command_sweep(
         )
         # Character-cell output must be fenced to stay valid markdown.
         print(f"\n```\n{chart}\n```" if markdown else f"\n{chart}")
-    if report is not None:
+    if report:
         print(f"warning: {report.summary()}", file=sys.stderr)
         for failure in report.failures:
             print(
@@ -822,13 +796,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                     args.draws,
                     args.seed,
                     args.band,
-                    args.jobs,
-                    args.chunk_size,
                     _resolve_cache_dir(args.cache_dir, args.no_cache),
-                    args.retries,
-                    args.timeout,
-                    args.on_error,
                     args.resume,
+                    {
+                        knob: getattr(args, knob)
+                        for knob in (
+                            "jobs", "chunk_size", "retries", "timeout", "on_error"
+                        )
+                    },
                 )
         if args.command == "serve":
             with _observed(

@@ -9,8 +9,7 @@ hourly intensity profiles with an optional seeded noise term.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,26 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..traces.intensity import IntensityTrace
 
 __all__ = ["DiurnalGridModel"]
-
-#: ``cleanest_hour`` deprecation is announced once per process: batched
-#: sweeps call the forward in tight loops, and one warning per call
-#: drowns real diagnostics (Python's per-location registry does not
-#: help because every call shares one call site inside this module).
-_CLEANEST_HOUR_WARNED = False
-
-
-def _warn_cleanest_hour_once() -> None:
-    global _CLEANEST_HOUR_WARNED
-    if _CLEANEST_HOUR_WARNED:
-        return
-    _CLEANEST_HOUR_WARNED = True
-    warnings.warn(
-        "DiurnalGridModel.cleanest_hour() is deprecated; use "
-        "model.trace(24).cleanest_window(1) instead (this warning is "
-        "emitted once per process)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -125,28 +104,3 @@ class DiurnalGridModel:
         from ..traces.intensity import IntensityTrace
 
         return IntensityTrace(name, self.hourly_series(hours))
-
-    def cleanest_hour(self) -> int:
-        """Hour of day with the lowest deterministic intensity.
-
-        .. deprecated:: prefer ``model.trace(24).cleanest_window(1)``,
-           which generalizes to multi-hour windows and noisy profiles.
-           This wrapper delegates there (on the noiseless profile, as
-           before) and survives for callers of the original API.
-
-        Migration: ``model.cleanest_hour()`` becomes
-        ``int(model.trace(24).cleanest_window(1).start_hour)``; pass a
-        longer horizon or window for multi-hour placement, and drop the
-        noise-stripping — ``cleanest_window`` handles noisy series. The
-        :class:`DeprecationWarning` is emitted once per process, not
-        per call, so batched sweeps that still route through this
-        forward do not flood the log.
-        """
-        _warn_cleanest_hour_once()
-        deterministic = (
-            self
-            if self.noise_g_per_kwh == 0.0
-            else replace(self, noise_g_per_kwh=0.0)
-        )
-        window = deterministic.trace(24).cleanest_window(1.0)
-        return int(window.start_hour)

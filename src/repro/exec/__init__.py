@@ -39,10 +39,12 @@ and peak RSS back inside the result envelopes), and
 attempt-outcome sequences a traced run must reproduce.
 
 The sweep runners in :mod:`repro.scenarios`, :mod:`repro.uncertainty`,
-and :mod:`repro.traces` all accept ``jobs=``/``chunk_size=`` plus the
-fault-tolerance knobs and route through this layer; the CLI surfaces
-them as ``repro sweep NAME --jobs N --retries R --timeout S
---on-error skip --resume``.
+:mod:`repro.portfolio` and :mod:`repro.traces` all take the
+:class:`ExecOptions` knobs as ``**options`` and pass them to
+:func:`run_sharded` untouched; :func:`split_outcome` unpacks their
+``on_error="skip"`` results. The CLI surfaces the knobs as ``repro
+sweep NAME --jobs N --retries R --timeout S --on-error skip
+--resume``.
 """
 
 from .cache import (
@@ -62,11 +64,14 @@ from .faults import (
     install_faults,
     predict_outcomes,
 )
+from .options import ExecOptions, split_outcome
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 from .runner import kernel_name, resolve_kernel, run_sharded
 
 __all__ = [
+    "ExecOptions",
+    "split_outcome",
     "Shard",
     "ShardPlan",
     "kernel_name",

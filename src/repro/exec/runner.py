@@ -55,8 +55,8 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ChunkFailedError, CorruptChunkError, ExecutionError
 from ..obs.recorder import active_recorder
-from .checkpoint import CheckpointStore
 from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
+from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 
@@ -623,27 +623,26 @@ def _chunk_failure(shard: Shard, failure: _TaskFailure) -> ChunkFailure:
 def run_sharded(
     kernel: Callable[[Any, int, int], Any],
     payload: Any,
-    plan: ShardPlan,
+    size: int,
     *,
-    jobs: int = 1,
     combine: "Callable[[Sequence[Any]], Any] | None" = None,
-    retries: "RetryPolicy | int | None" = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: "CheckpointStore | None" = None,
     faults: "FaultSpec | None" = None,
+    **options: Any,
 ) -> Any:
-    """Run ``kernel`` over every shard of ``plan`` and reduce the chunks.
+    """Run ``kernel`` over ``size`` scenarios in shards and reduce the chunks.
 
-    ``kernel(payload, start, stop)`` is called once per shard — inline
-    for ``jobs=1``, across a ``ProcessPoolExecutor(max_workers=jobs)``
-    otherwise. Chunk results are consumed in shard order and handed to
-    ``combine`` as one ordered list; with ``combine=None`` the list
-    itself is returned. Because every sharded runner derives
-    per-scenario state from global scenario records, the combined
-    result is bit-identical to a monolithic run for any
-    ``jobs``/``chunk_size`` — and, via the retry machinery below, for
-    any schedule of recovered faults.
+    ``options`` are the :class:`~repro.exec.options.ExecOptions` knobs
+    (``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``on_error``,
+    ``checkpoint``), validated once here; the shards come from
+    ``ShardPlan.plan(size, chunk_size, jobs)``. ``kernel(payload,
+    start, stop)`` is called once per shard — inline for ``jobs=1``,
+    across a ``ProcessPoolExecutor(max_workers=jobs)`` otherwise. Chunk
+    results are consumed in shard order and handed to ``combine`` as
+    one ordered list; with ``combine=None`` the list itself is
+    returned. Because every sharded runner derives per-scenario state
+    from global scenario records, the combined result is bit-identical
+    to a monolithic run for any ``jobs``/``chunk_size`` — and, via the
+    retry machinery below, for any schedule of recovered faults.
 
     Fault tolerance:
 
@@ -660,8 +659,9 @@ def run_sharded(
       propagates unchanged (the pre-fault-tolerance contract), with
       retries armed it is a structured
       :class:`~repro.errors.ChunkFailedError`. ``"skip"`` returns
-      ``(partial_result, FailureReport)`` instead, raising only if
-      *no* chunk completed at all.
+      ``(partial_result, FailureReport)`` instead (unpack it with
+      :func:`~repro.exec.options.split_outcome`), raising only if *no*
+      chunk completed at all.
     - ``checkpoint`` — a :class:`~repro.exec.checkpoint.CheckpointStore`;
       finished chunks are persisted as they land (multi-chunk plans
       only), prefilled from the store when it was opened in consume
@@ -671,23 +671,10 @@ def run_sharded(
       :func:`~repro.exec.faults.active_fault_spec` resolves (installed
       spec, then the ``REPRO_FAULTS`` environment variable).
     """
-    if jobs <= 0:
-        raise ExecutionError(f"job count must be positive, got {jobs}")
-    if on_error not in ("raise", "skip"):
-        raise ExecutionError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
-        )
-    retry = RetryPolicy.coerce(retries)
-    if timeout is not None:
-        if timeout <= 0:
-            raise ExecutionError(
-                f"per-chunk timeout must be positive, got {timeout}"
-            )
-        if jobs == 1:
-            raise ExecutionError(
-                "a per-chunk timeout needs jobs > 1: inline chunks run on "
-                "the calling thread and cannot be cancelled"
-            )
+    options = ExecOptions(**options)
+    plan = ShardPlan.plan(size, options.chunk_size, options.jobs)
+    jobs, retry, timeout = options.jobs, options.retries, options.timeout
+    on_error, checkpoint = options.on_error, options.checkpoint
     spec = active_fault_spec(faults)
     if spec is not None and not spec:
         spec = None

@@ -64,7 +64,7 @@ def run() -> ExperimentResult:
         "coverage",
         "capex_fraction_market",
     )
-    energy = np.asarray(table.column("energy_gwh"))
+    energy = table.array("energy_gwh")
     market = table.column("opex_market_kt")
     location = table.column("opex_location_kt")
     final_fraction = float(batch.capex_fraction_market()[0, -1])

@@ -101,10 +101,10 @@ def run() -> ExperimentResult:
 
     aware = results.where(col("policy") == "aware")
     slack = results.where(col("policy") == _SLACK_POLICY.name)
-    aware_savings = np.asarray(aware.column("savings_fraction"), dtype=float)
-    slack_savings = np.asarray(slack.column("savings_fraction"), dtype=float)
+    aware_savings = np.asarray(aware.array("savings_fraction"), dtype=float)
+    slack_savings = np.asarray(slack.array("savings_fraction"), dtype=float)
     slack_max_deferral = np.asarray(
-        slack.column("max_deferral_hours"), dtype=float
+        slack.array("max_deferral_hours"), dtype=float
     )
 
     # Pin the batched evaluator to the scalar reference on a subset

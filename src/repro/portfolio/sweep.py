@@ -18,8 +18,8 @@ result is O(cells) whatever its device count. The sweep then runs one
 correctly rounded, so each aggregate is the exact device sum rounded
 once: bit-identical to ``fsum`` over all the rows, independent of chunk
 and job geometry, and *permutation-invariant* over the device axis. The
-fault-tolerance knobs (``retries``/``timeout``/``on_error``/
-``checkpoint``) forward to :func:`repro.exec.run_sharded` unchanged.
+:class:`repro.exec.ExecOptions` knobs forward to
+:func:`repro.exec.run_sharded` unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from ..analysis.uncertainty import is_distribution
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
+from ..exec import run_sharded, split_outcome
 from ..obs.recorder import active_recorder
 from ..scenarios.runner import (
     _attach_axes,
@@ -172,20 +172,6 @@ def _portfolio_uncertain_chunk(payload: tuple, start: int, stop: int) -> tuple:
     return _chunk_partials(grid, len(records) * draws)
 
 
-def _run_chunks(
-    kernel: Any, payload: tuple, plan: ShardPlan, on_error: str,
-    span: "dict[str, Any]", **options: Any,
-) -> tuple:
-    """Run a chunk kernel over the device axis: ``(chunks, report)``.
-
-    ``report`` is the ``FailureReport`` under ``on_error="skip"`` and
-    ``None`` otherwise, decided by the mode, not the result's shape.
-    """
-    with active_recorder().span("batch", **span):
-        result = run_sharded(kernel, payload, plan, on_error=on_error, **options)
-    return result if on_error == "skip" else (result, None)
-
-
 def _fleet_aggregates(
     chunks: Sequence[tuple], cells: int
 ) -> "dict[str, np.ndarray]":
@@ -216,13 +202,7 @@ def _fleet_aggregates(
 def sweep_portfolio(
     catalog: Iterable[DeviceSpec],
     scenarios: Iterable[Mapping[str, Any]],
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Table:
     """Run a device catalog through a scenario grid, fleet-aggregated.
 
@@ -234,26 +214,27 @@ def sweep_portfolio(
     Scenario axes override any numeric :class:`DeviceSpec` field (plus
     the ``node`` name) fleet-wide.
 
-    ``jobs``/``chunk_size`` shard the *device* axis through
-    :func:`repro.exec.run_sharded`; results are element-identical for
-    every geometry and invariant under catalog permutation (exactly
-    rounded device sums). Under ``on_error="skip"`` the return value
-    becomes a ``(Table, FailureReport)`` pair aggregating only the
-    devices whose chunks survived.
+    ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
+    *device* axis through :func:`repro.exec.run_sharded`; results are
+    element-identical for every geometry and invariant under catalog
+    permutation (exactly rounded device sums). Under
+    ``on_error="skip"`` the return value becomes a ``(Table,
+    FailureReport)`` pair aggregating only the devices whose chunks
+    survived.
     """
     specs = tuple(catalog)
     columns = _device_columns(specs)
     records = _check_records(list(scenarios))
     _reject_distribution_values(records)
     _validate_axis_names(records)
-    chunks, report = _run_chunks(
-        _portfolio_chunk,
-        (columns, records),
-        ShardPlan.plan(len(specs), chunk_size, jobs),
-        on_error,
-        {"fn": "sweep_portfolio", "scenarios": len(records), "devices": len(specs)},
-        jobs=jobs, retries=retries, timeout=timeout, checkpoint=checkpoint,
-    )
+    with active_recorder().span(
+        "batch", fn="sweep_portfolio", scenarios=len(records),
+        devices=len(specs),
+    ):
+        outcome = run_sharded(
+            _portfolio_chunk, (columns, records), len(specs), **options
+        )
+    chunks, report = split_outcome(outcome, options.get("on_error", "raise"))
     table = _attach_axes(
         records,
         Table(_fleet_aggregates(chunks, len(records))),
@@ -268,12 +249,7 @@ def sweep_portfolio_uncertain(
     *,
     draws: int = 256,
     seed: int = 0,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Portfolio sweep with distribution-tagged scenario axes.
 
@@ -287,8 +263,8 @@ def sweep_portfolio_uncertain(
     devices with exactly rounded sums, giving a
     :class:`~repro.uncertainty.UncertainResult` whose
     :data:`PORTFOLIO_METRICS` samples are bit-identical for every
-    ``jobs``/``chunk_size`` geometry (the *device* axis is what
-    shards). Under ``on_error="skip"`` returns an
+    ``jobs``/``chunk_size`` geometry of ``options`` (the *device* axis
+    is what shards). Under ``on_error="skip"`` returns an
     ``(UncertainResult, FailureReport)`` pair over surviving devices.
     """
     specs = tuple(catalog)
@@ -297,15 +273,15 @@ def sweep_portfolio_uncertain(
     _validate_axis_names(records)
     if draws <= 0:
         raise SimulationError("draw count must be positive")
-    chunks, report = _run_chunks(
-        _portfolio_uncertain_chunk,
-        (columns, records, draws, seed),
-        ShardPlan.plan(len(specs), chunk_size, jobs),
-        on_error,
-        {"fn": "sweep_portfolio_uncertain", "scenarios": len(records),
-         "draws": draws, "devices": len(specs)},
-        jobs=jobs, retries=retries, timeout=timeout, checkpoint=checkpoint,
-    )
+    with active_recorder().span(
+        "batch", fn="sweep_portfolio_uncertain", scenarios=len(records),
+        draws=draws, devices=len(specs),
+    ):
+        outcome = run_sharded(
+            _portfolio_uncertain_chunk, (columns, records, draws, seed),
+            len(specs), **options,
+        )
+    chunks, report = split_outcome(outcome, options.get("on_error", "raise"))
     aggregates = _fleet_aggregates(chunks, len(records) * draws)
     flat = Table({metric: aggregates[metric] for metric in PORTFOLIO_METRICS})
     result = UncertainResult(

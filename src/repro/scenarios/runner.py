@@ -7,20 +7,17 @@ one simulation per scenario. ``sweep_provisioning`` does the same for
 the heterogeneous-provisioning question. ``SWEEPS`` names a few
 ready-made decision-space explorations for the ``repro sweep`` CLI.
 
-Every runner accepts ``jobs=``/``chunk_size=`` and routes through
+Every runner takes the :class:`repro.exec.ExecOptions` knobs
+(``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``on_error``,
+``checkpoint``) as ``**options`` and passes them untouched to
 :func:`repro.exec.run_sharded`: the scenario axis is split into
 contiguous chunks (peak kernel memory is bounded by ``chunk_size``
 scenarios) evaluated inline or over a process pool, and the chunk
 tables are stacked with :meth:`repro.tabular.Table.concat`. Sharded
 results are element-identical to monolithic runs for any chunk/job
-configuration (``tests/test_sharded_equivalence.py``).
-
-The fault-tolerance knobs ride along: ``retries=`` (int or
-:class:`repro.exec.RetryPolicy`), per-chunk ``timeout=``,
-``on_error="skip"`` (partial results plus a
-:class:`repro.exec.FailureReport`), and ``checkpoint=`` (a
-:class:`repro.exec.CheckpointStore` for crash-resumable chunk
-persistence) all forward to :func:`repro.exec.run_sharded`.
+configuration (``tests/test_sharded_equivalence.py``). Under
+``on_error="skip"`` a runner returns ``(result, FailureReport)``;
+:func:`repro.exec.split_outcome` unpacks it.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from ..datacenter.heterogeneity import (
     provision_homogeneous_batch,
 )
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
+from ..exec import run_sharded, split_outcome
 from ..obs.recorder import active_recorder
 from ..tabular import Table
 from ..units import CarbonIntensity
@@ -135,22 +132,15 @@ def sweep_fleet(
     base: FleetParameters,
     scenarios: Iterable[Mapping[str, Any]],
     embodied: EmbodiedModel | None = None,
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Table:
     """Run a fleet scenario sweep through the batched kernel.
 
     Returns one row per scenario: the scenario's axis values followed
-    by its final simulated year's fleet metrics. ``jobs``/``chunk_size``
-    shard the scenario axis through :func:`repro.exec.run_sharded`;
-    the result is element-identical for every configuration. The
-    fault-tolerance knobs (``retries``/``timeout``/``on_error``/
-    ``checkpoint``) forward to the sharded driver; under
+    by its final simulated year's fleet metrics. ``options`` (the
+    :class:`repro.exec.ExecOptions` knobs) shard the scenario axis
+    through :func:`repro.exec.run_sharded`; the result is
+    element-identical for every configuration. Under
     ``on_error="skip"`` the return value becomes a ``(Table,
     FailureReport)`` pair covering only the surviving scenarios.
     """
@@ -158,21 +148,13 @@ def sweep_fleet(
     if not records:
         raise SimulationError("need at least one scenario")
     _reject_distribution_values(records)
-    plan = ShardPlan.plan(len(records), chunk_size, jobs)
     payload = (base, records, embodied, _scalar_axis_names(records))
     with active_recorder().span(
         "batch", fn="sweep_fleet", scenarios=len(records)
     ):
         return run_sharded(
-            _fleet_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _fleet_chunk, payload, len(records), combine=Table.concat,
+            **options,
         )
 
 
@@ -270,23 +252,16 @@ def sweep_provisioning(
     demand_scales: "float | Sequence[float]" = 1.0,
     grid: CarbonIntensity | None = None,
     model: EmbodiedModel | None = None,
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Table:
     """Homogeneous vs heterogeneous provisioning across scenarios.
 
     Scenario axes are the cartesian product of utilization targets and
     demand scale factors; both fleets are provisioned by the batched
-    kernels and priced in embodied + operational carbon.
-    ``jobs``/``chunk_size`` shard the scenario axis through
-    :func:`repro.exec.run_sharded` with element-identical results;
-    ``retries``/``timeout``/``on_error``/``checkpoint`` forward to the
-    fault-tolerant driver.
+    kernels and priced in embodied + operational carbon. ``options``
+    (the :class:`repro.exec.ExecOptions` knobs) shard the scenario
+    axis through :func:`repro.exec.run_sharded` with element-identical
+    results.
     """
     grid = grid or US_GRID.intensity
     model = model or EmbodiedModel()
@@ -300,7 +275,6 @@ def sweep_provisioning(
     scales = np.atleast_1d(np.asarray(demand_scales, dtype=np.float64))
     target_axis = np.repeat(targets, len(scales))
     scale_axis = np.tile(scales, len(targets))
-    plan = ShardPlan.plan(int(target_axis.shape[0]), chunk_size, jobs)
     payload = (
         tuple(workloads),
         general,
@@ -314,15 +288,8 @@ def sweep_provisioning(
         "batch", fn="sweep_provisioning", scenarios=int(target_axis.shape[0])
     ):
         return run_sharded(
-            _provisioning_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _provisioning_chunk, payload, int(target_axis.shape[0]),
+            combine=Table.concat, **options,
         )
 
 
@@ -331,12 +298,7 @@ def sweep_temporal_shifting(
     *,
     capacity_kw: float = 2500.0,
     stochastic_seeds: "tuple[int, ...]" = (0, 1),
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Table:
     """Carbon-aware scheduling across the bundled trace catalog.
 
@@ -345,9 +307,8 @@ def sweep_temporal_shifting(
     streams through the batched evaluator — the temporal analogue of
     the fleet and provisioning sweeps. The canonical workloads span
     two days, so the horizon must cover at least 48 hours.
-    ``jobs``/``chunk_size`` shard the trace axis of the evaluator;
-    ``retries``/``timeout``/``on_error``/``checkpoint`` forward to the
-    fault-tolerant driver.
+    ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
+    trace axis of the evaluator.
     """
     from ..traces import canonical_workloads, evaluate_policies, profile_catalog
 
@@ -358,15 +319,7 @@ def sweep_temporal_shifting(
         )
     catalog = profile_catalog(hours, stochastic_seeds=stochastic_seeds)
     return evaluate_policies(
-        catalog,
-        canonical_workloads(),
-        capacity_kw=capacity_kw,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        retries=retries,
-        timeout=timeout,
-        on_error=on_error,
-        checkpoint=checkpoint,
+        catalog, canonical_workloads(), capacity_kw=capacity_kw, **options
     )
 
 
@@ -378,9 +331,9 @@ class SweepSpec:
     ``build_uncertain(draws, seed)``, when present, runs the same
     decision space with its elusive parameters tagged as distributions
     and returns an :class:`repro.uncertainty.UncertainResult`
-    (``repro sweep NAME --draws N``). Both callables accept
-    ``jobs=``/``chunk_size=`` keywords and forward them to the sharded
-    runners.
+    (``repro sweep NAME --draws N``). Both callables accept the
+    :class:`repro.exec.ExecOptions` keywords and forward them to the
+    sharded runners.
 
     ``axis_size``, when present, reports the length of the axis the
     sweep's sharded runner actually chunks when that is *not* the
@@ -607,66 +560,22 @@ def sweep_names() -> list[str]:
     return list(SWEEPS)
 
 
-def _run_options(
-    jobs: int,
-    chunk_size: int | None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
-) -> dict[str, Any]:
-    """Execution kwargs for a sweep builder, defaults elided.
-
-    Default settings pass no keywords at all, so a registered
-    ``SweepSpec`` whose builders predate the execution layer (zero-arg
-    ``build``, ``build_uncertain(draws, seed)``) keeps working until
-    someone actually asks it to shard or survive faults.
-    """
-    options: dict[str, Any] = {}
-    if jobs != 1:
-        options["jobs"] = jobs
-    if chunk_size is not None:
-        options["chunk_size"] = chunk_size
-    if retries is not None:
-        options["retries"] = retries
-    if timeout is not None:
-        options["timeout"] = timeout
-    if on_error != "raise":
-        options["on_error"] = on_error
-    if checkpoint is not None:
-        options["checkpoint"] = checkpoint
-    return options
-
-
-def run_sweep(
-    name: str,
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
-) -> Table:
+def run_sweep(name: str, **options: Any) -> Table:
     """Run one named sweep and return its result table.
 
-    ``jobs``/``chunk_size`` shard the sweep's scenario axis (see
-    :mod:`repro.exec`); the table is identical for every setting. The
-    fault-tolerance knobs forward to the sharded driver; under
-    ``on_error="skip"`` the return value becomes a ``(Table,
-    FailureReport)`` pair.
+    ``options`` (the :class:`repro.exec.ExecOptions` knobs) pass to the
+    sweep's builder untouched, so a builder given none runs at its
+    defaults. They shard the sweep's scenario axis; the table is
+    identical for every setting. Under ``on_error="skip"`` the return
+    value becomes a ``(Table, FailureReport)`` pair.
     """
     if name not in SWEEPS:
         raise SimulationError(
             f"unknown sweep {name!r}; have {sweep_names()}"
         )
     with active_recorder().span("sweep", name=name, mode="point") as span:
-        result = SWEEPS[name].build(
-            **_run_options(
-                jobs, chunk_size, retries, timeout, on_error, checkpoint
-            )
-        )
-        table = result[0] if isinstance(result, tuple) else result
+        result = SWEEPS[name].build(**options)
+        table, _ = split_outcome(result, options.get("on_error", "raise"))
         rows = getattr(table, "num_rows", None)
         if rows is not None:
             span.note(rows=rows)
@@ -677,19 +586,14 @@ def run_uncertain_sweep(
     name: str,
     draws: int,
     seed: int = 0,
-    *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> Any:
     """Run one named sweep's distribution-tagged variant.
 
     Returns the :class:`repro.uncertainty.UncertainResult`; raises for
-    sweeps that have no uncertain variant registered. Sharding via
-    ``jobs``/``chunk_size`` preserves the per-scenario seeded draw
+    sweeps that have no uncertain variant registered. ``options`` (the
+    :class:`repro.exec.ExecOptions` knobs) pass to the builder
+    untouched. Sharding preserves the per-scenario seeded draw
     streams, so the samples are bit-identical for every setting — and
     the fault-tolerance knobs extend that guarantee across recovered
     worker failures.
@@ -707,14 +611,8 @@ def run_uncertain_sweep(
     with active_recorder().span(
         "sweep", name=name, mode="uncertain", draws=draws, seed=seed
     ) as span:
-        result = spec.build_uncertain(
-            draws,
-            seed,
-            **_run_options(
-                jobs, chunk_size, retries, timeout, on_error, checkpoint
-            ),
-        )
-        outcome = result[0] if isinstance(result, tuple) else result
+        result = spec.build_uncertain(draws, seed, **options)
+        outcome, _ = split_outcome(result, options.get("on_error", "raise"))
         scenarios = getattr(outcome, "num_scenarios", None)
         if scenarios is not None:
             span.note(rows=scenarios * outcome.draws)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ServiceError
+from ..errors import ExecutionError, ServiceError
+from ..exec import ExecOptions
 
 __all__ = ["ServeConfig"]
 
@@ -30,11 +31,13 @@ class ServeConfig:
     ``coalesce=False`` forces ``max_batch=1`` semantics — the
     benchmark baseline. ``jobs``/``chunk_size``/``retries``/
     ``timeout_s`` forward to the sharded runners exactly like the
-    ``repro sweep`` flags; ``timeout_s`` (and per-request deadlines)
-    only reach :func:`repro.exec.run_sharded` when ``jobs > 1``,
-    because inline chunks cannot be cancelled. ``cache_dir`` arms the
-    shared :class:`~repro.exec.cache.ResultCache` for sweep requests
-    (``None`` disables caching). The breaker fields shape the
+    ``repro sweep`` flags and are validated by
+    :class:`repro.exec.ExecOptions` at construction; ``timeout_s`` (and
+    per-request deadlines) only reach :func:`repro.exec.run_sharded`
+    when ``jobs > 1``, because inline chunks cannot be cancelled.
+    ``cache_dir`` arms the shared :class:`~repro.exec.cache.ResultCache`
+    for sweep requests (``None`` disables caching). The breaker fields
+    shape the
     :class:`~repro.serve.breaker.CircuitBreaker`; ``drain_grace_s``
     bounds how long a SIGTERM drain waits for in-flight work.
     """
@@ -69,8 +72,16 @@ class ServeConfig:
             raise ServiceError(
                 f"batch window must be >= 0 seconds, got {self.batch_window_s}"
             )
-        if self.jobs <= 0:
-            raise ServiceError(f"jobs must be positive, got {self.jobs}")
+        try:
+            ExecOptions(
+                jobs=self.jobs, chunk_size=self.chunk_size, retries=self.retries
+            )
+            if self.timeout_s is not None:
+                # Checked as the pooled timeout it becomes: it only
+                # reaches run_sharded when jobs > 1.
+                ExecOptions(jobs=2, timeout=self.timeout_s)
+        except ExecutionError as error:
+            raise ServiceError(f"invalid execution settings: {error}") from error
         if self.breaker_threshold <= 0:
             raise ServiceError(
                 f"breaker threshold must be positive, got "

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..errors import ServiceError
-from ..exec import ShardPlan, run_sharded
+from ..exec import run_sharded, split_outcome
 from ..tabular import Table
 
 __all__ = [
@@ -242,17 +242,6 @@ _PORTFOLIO_COLUMNS = (
 )
 
 
-def _exec_options(options: Mapping[str, Any]) -> dict[str, Any]:
-    """Sharding/fault-tolerance kwargs for the sweep runners."""
-    forwarded = dict(options)
-    if forwarded.get("jobs", 1) == 1:
-        # Inline chunks cannot be cancelled; run_sharded rejects the
-        # combination, so an unusable timeout is elided rather than
-        # turned into a request-killing error.
-        forwarded.pop("timeout", None)
-    return forwarded
-
-
 def _execute_scenarios(
     requests: Sequence[Request], options: Mapping[str, Any]
 ) -> list[Response]:
@@ -260,23 +249,14 @@ def _execute_scenarios(
     from ..scenarios.presets import facebook_like_fleet
 
     records = [request.override_mapping for request in requests]
-    forwarded = _exec_options(options)
-    plan = ShardPlan.plan(
-        len(records), forwarded.pop("chunk_size", None),
-        forwarded.get("jobs", 1),
+    outcome = run_sharded(
+        _scenario_chunk, (facebook_like_fleet(), records), len(records),
+        combine=Table.concat, **options,
     )
-    result = run_sharded(
-        _scenario_chunk,
-        (facebook_like_fleet(), records),
-        plan,
-        combine=Table.concat,
-        **forwarded,
-    )
-    degraded = isinstance(result, tuple)
-    table, report = result if degraded else (result, None)
+    table, report = split_outcome(outcome, options.get("on_error", "raise"))
     rows = _rows(table, table.column_names)
     responses = []
-    if degraded:
+    if report is not None:
         survivors = {
             index: row
             for index, row in zip(_surviving_indices(len(records), report), rows)
@@ -303,19 +283,15 @@ def _execute_portfolio(
     from ..portfolio import default_catalog, sweep_portfolio
 
     records = [request.override_mapping for request in requests]
-    result = sweep_portfolio(
-        default_catalog(), records, **_exec_options(options)
-    )
-    degraded = isinstance(result, tuple)
-    table, report = result if degraded else (result, None)
+    outcome = sweep_portfolio(default_catalog(), records, **options)
+    table, report = split_outcome(outcome, options.get("on_error", "raise"))
     rows = _rows(table, _PORTFOLIO_COLUMNS)
     # The portfolio shards its *device* axis: a skipped chunk loses
     # devices, not scenarios, so every request keeps a row — computed
     # over the surviving devices and flagged degraded.
     return [
         _ok_response(
-            request, row=row, degraded=degraded,
-            report=report if degraded else None,
+            request, row=row, degraded=report is not None, report=report
         )
         for request, row in zip(requests, rows)
     ]
@@ -352,7 +328,7 @@ def _execute_sweep(
         if value is not _MISS:
             outcome, cached = value, True
     if outcome is None:
-        forwarded = _exec_options(options)
+        forwarded = dict(options)
         if cache is not None and checkpoint_factory is not None:
             forwarded["checkpoint"] = checkpoint_factory(spec)
         if spec.draws is None:
@@ -361,9 +337,10 @@ def _execute_sweep(
             result = run_uncertain_sweep(
                 spec.sweep_name, spec.draws, spec.seed, **forwarded
             )
-        degraded = isinstance(result, tuple)
-        outcome, report = result if degraded else (result, None)
-        if cache is not None and not degraded:
+        outcome, report = split_outcome(
+            result, options.get("on_error", "raise")
+        )
+        if cache is not None and report is None:
             cache.put(key, outcome)
     table = (
         outcome if isinstance(outcome, Table) else outcome.quantile_table()
@@ -428,8 +405,9 @@ def execute_group(
 ) -> list[Response]:
     """Answer one coalesced batch (equal group keys) with one kernel call.
 
-    ``options`` are :func:`repro.exec.run_sharded` keywords (``jobs``,
-    ``chunk_size``, ``retries``, ``timeout``, ``on_error``); ``cache``
+    ``options`` are :class:`repro.exec.ExecOptions` keywords (``jobs``,
+    ``chunk_size``, ``retries``, ``timeout``, ``on_error``), passed to
+    the kernels as given; ``cache``
     is the shared :class:`~repro.exec.ResultCache` for sweep requests
     and ``checkpoint_factory(request)`` builds their
     :class:`~repro.exec.CheckpointStore`. Returns one

@@ -271,21 +271,51 @@ class SweepService:
     # ------------------------------------------------------------------
     # Batch execution
 
-    def _exec_options(self, budget_s: "float | None") -> dict[str, Any]:
+    def _exec_options(
+        self, budget_s: "float | None", *, degraded: bool = False
+    ) -> dict[str, Any]:
+        """The :class:`~repro.exec.ExecOptions` keywords for one batch.
+
+        The primary path uses the configured jobs and raises on chunk
+        failure; the degraded path runs inline with skip-and-report
+        semantics. The tightest of the batch budget and ``timeout_s``
+        becomes the per-chunk timeout only when ``jobs > 1``: inline
+        chunks cannot be cancelled.
+        """
+        jobs = 1 if degraded else self.config.jobs
+        options: dict[str, Any] = {
+            "jobs": jobs,
+            "chunk_size": self.config.chunk_size,
+            "retries": self.config.retries or None,
+            "on_error": "skip" if degraded else "raise",
+        }
         budgets = [
             value
             for value in (budget_s, self.config.timeout_s)
             if value is not None
         ]
-        options: dict[str, Any] = {
-            "jobs": self.config.jobs,
-            "chunk_size": self.config.chunk_size,
-            "retries": self.config.retries or None,
-            "on_error": "raise",
-        }
-        if budgets:
+        if budgets and jobs > 1:
             options["timeout"] = min(budgets)
         return options
+
+    def _run_group(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        requests: Sequence[Request],
+        options: dict[str, Any],
+    ) -> "asyncio.Future[list[Response]]":
+        """Answer one batch with ``options`` on an executor thread."""
+        return loop.run_in_executor(
+            None,
+            lambda: execute_group(
+                list(requests),
+                options=options,
+                cache=self._cache,
+                checkpoint_factory=(
+                    self._checkpoint_factory if self._cache is not None else None
+                ),
+            ),
+        )
 
     def _checkpoint_factory(self, request: Request) -> Any:
         """A consume-mode checkpoint store for one sweep request."""
@@ -318,18 +348,8 @@ class SweepService:
         ):
             if primary_allowed:
                 try:
-                    responses = await loop.run_in_executor(
-                        None,
-                        lambda: execute_group(
-                            list(requests),
-                            options=self._exec_options(budget_s),
-                            cache=self._cache,
-                            checkpoint_factory=(
-                                self._checkpoint_factory
-                                if self._cache is not None
-                                else None
-                            ),
-                        ),
+                    responses = await self._run_group(
+                        loop, requests, self._exec_options(budget_s)
                     )
                 except Exception as error:
                     if not is_infrastructure_error(error):
@@ -354,25 +374,9 @@ class SweepService:
         cause: "BaseException | None",
     ) -> list[Response]:
         """The fallback path: inline execution, skip-and-report semantics."""
-        options = {
-            "jobs": 1,
-            "chunk_size": self.config.chunk_size,
-            "retries": self.config.retries or None,
-            "on_error": "skip",
-        }
         try:
-            responses = await loop.run_in_executor(
-                None,
-                lambda: execute_group(
-                    list(requests),
-                    options=options,
-                    cache=self._cache,
-                    checkpoint_factory=(
-                        self._checkpoint_factory
-                        if self._cache is not None
-                        else None
-                    ),
-                ),
+            responses = await self._run_group(
+                loop, requests, self._exec_options(None, degraded=True)
             )
         except Exception as error:
             detail = repr(cause) if cause is not None else repr(error)

@@ -121,6 +121,7 @@ def _validate_batch(
 
 def schedule_batch(
     jobs: Sequence[BatchJob],
+    /,
     intensity_rows: np.ndarray,
     capacity_kw: float,
     *,
@@ -129,9 +130,11 @@ def schedule_batch(
 ) -> BatchSchedule:
     """Place one job set against every trace row simultaneously.
 
-    With ``carbon_aware=True`` this is the greedy most-energy-first
-    scheduler (each job takes its cheapest feasible start per trace);
-    otherwise the earliest-feasible-start baseline. Pass a precomputed
+    ``jobs`` is the job set, positional-only so it never reads as the
+    sharded runners' ``jobs=`` worker count. With ``carbon_aware=True``
+    this is the greedy most-energy-first scheduler (each job takes its
+    cheapest feasible start per trace); otherwise the
+    earliest-feasible-start baseline. Pass a precomputed
     ``csum`` from :func:`prefix_sums` to share the per-trace prefix
     sums across many calls.
     """

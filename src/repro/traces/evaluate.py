@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..datacenter.scheduler import (
     schedule_carbon_aware,
 )
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
+from ..exec import run_sharded
 from ..obs.recorder import active_recorder
 from ..tabular import Table
 from .batch import prefix_sums, schedule_batch
@@ -258,12 +258,7 @@ def evaluate_policies(
     policies: Sequence[SchedulingPolicy] = DEFAULT_POLICIES,
     *,
     capacity_kw: float,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: object = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: object = None,
+    **options: Any,
 ) -> Table:
     """Evaluate every (trace, workload, policy) scenario, batched.
 
@@ -273,18 +268,15 @@ def evaluate_policies(
     (workload, policy) pair. Savings are measured against the
     carbon-agnostic schedule of the untightened job set on the same
     trace. Rows come back in (trace, workload, policy) order.
-    ``jobs``/``chunk_size`` shard the *trace* axis through
-    :func:`repro.exec.run_sharded`; results are element-identical for
-    every configuration. The fault-tolerance knobs
-    (``retries``/``timeout``/``on_error``/``checkpoint``) forward to
-    the sharded driver; under ``on_error="skip"`` the return value
-    becomes a ``(Table, FailureReport)`` pair covering the surviving
-    trace chunks.
+    ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
+    *trace* axis through :func:`repro.exec.run_sharded`; results are
+    element-identical for every configuration. Under
+    ``on_error="skip"`` the return value becomes a ``(Table,
+    FailureReport)`` pair covering the surviving trace chunks.
     """
     trace_list = _normalize_traces(traces)
     workload_list = _normalize_workloads(workloads)
     policy_list = _normalize_policies(policies)
-    plan = ShardPlan.plan(len(trace_list), chunk_size, jobs)
     payload = (trace_list, workload_list, policy_list, capacity_kw)
     with active_recorder().span(
         "batch",
@@ -294,15 +286,8 @@ def evaluate_policies(
         policies=len(policy_list),
     ):
         return run_sharded(
-            _evaluate_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=Table.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _evaluate_chunk, payload, len(trace_list), combine=Table.concat,
+            **options,
         )
 
 

@@ -13,18 +13,14 @@ over the scalar simulators: for every scenario the batched runners
 produce the *same floats* it would (same seed discipline, same metric
 arithmetic), pinned by ``tests/test_uncertain_sweep_equivalence.py``.
 
-Every runner accepts ``jobs=``/``chunk_size=`` and shards its scenario
-axis through :func:`repro.exec.run_sharded`. Because each scenario
-draws from its own ``default_rng(seed)`` stream (see
-:mod:`repro.uncertainty.draws`), a chunk's draw matrix is exactly the
-corresponding rows of the monolithic one, so sharded uncertain sweeps
-stay bit-identical to monolithic runs under any chunk/job count.
-
-Like the deterministic runners, each sweep also forwards the
-fault-tolerance knobs — ``retries``/``timeout``/``on_error``/
-``checkpoint`` — to :func:`repro.exec.run_sharded`, so uncertain
-sweeps survive worker crashes and hangs and resume from chunk
-checkpoints with the same bit-identity guarantee.
+Every runner takes the :class:`repro.exec.ExecOptions` knobs as
+``**options`` and passes them untouched to
+:func:`repro.exec.run_sharded`, which shards the scenario axis.
+Because each scenario draws from its own ``default_rng(seed)`` stream
+(see :mod:`repro.uncertainty.draws`), a chunk's draw matrix is exactly
+the corresponding rows of the monolithic one, so sharded uncertain
+sweeps stay bit-identical to monolithic runs under any chunk/job count
+— and across recovered worker crashes, hangs and checkpoint resumes.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from ..datacenter.heterogeneity import (
     provision_homogeneous_batch,
 )
 from ..errors import SimulationError
-from ..exec import ShardPlan, run_sharded
+from ..exec import run_sharded
 from ..obs.recorder import active_recorder
 from ..scenarios.runner import _scalar_axis_names, apply_overrides
 from ..tabular import Table
@@ -217,12 +213,7 @@ def sweep_fleet_uncertain(
     draws: int = 256,
     seed: int = 0,
     embodied: EmbodiedModel | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Fleet sweep with distribution-tagged parameters.
 
@@ -238,9 +229,10 @@ def sweep_fleet_uncertain(
     them all per chunk. Draws that break a parameter rule (PUE below
     1, utilization above 1, ...) raise naming scenario, draw and path.
     Metrics are the final simulated year's fleet columns.
-    ``jobs``/``chunk_size`` shard the scenario axis; peak kernel
-    memory is bounded by ``chunk_size × draws`` cells and the samples
-    are bit-identical for every configuration.
+    ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
+    scenario axis; peak kernel memory is bounded by ``chunk_size ×
+    draws`` cells and the samples are bit-identical for every
+    configuration.
 
     Non-finite samples raise, mirroring the scalar ``monte_carlo``
     guard — except ``capex_to_opex_market``, where inf is the kernel's
@@ -248,7 +240,6 @@ def sweep_fleet_uncertain(
     the quantile columns as an ordinary order statistic.
     """
     records = _check_records(list(scenarios))
-    plan = ShardPlan.plan(len(records), chunk_size, jobs)
     payload = (base, records, draws, seed, embodied, _kept_axis_names(records))
     with active_recorder().span(
         "batch",
@@ -257,15 +248,8 @@ def sweep_fleet_uncertain(
         draws=draws,
     ):
         return run_sharded(
-            _fleet_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _fleet_uncertain_chunk, payload, len(records),
+            combine=UncertainResult.concat, **options,
         )
 
 
@@ -343,21 +327,16 @@ def sweep_provisioning_uncertain(
     seed: int = 0,
     grid: CarbonIntensity | None = None,
     model: EmbodiedModel | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Provisioning sweep with uncertain targets and demand forecasts.
 
     Axes may mix point values and distribution tags (a log-normal
     demand scale is the canonical case). The (scenarios × draws) axis
     goes straight into the array-valued provisioning kernels — the
-    draw axis needs no dataclass expansion at all here.
-    ``jobs``/``chunk_size`` shard the scenario axis with bit-identical
-    samples (per-scenario seeded draw streams).
+    draw axis needs no dataclass expansion at all here. ``options``
+    (the :class:`repro.exec.ExecOptions` knobs) shard the scenario axis
+    with bit-identical samples (per-scenario seeded draw streams).
     """
     grid = grid or US_GRID.intensity
     model = model or EmbodiedModel()
@@ -368,7 +347,6 @@ def sweep_provisioning_uncertain(
         for target in targets
         for scale in scales
     ]
-    plan = ShardPlan.plan(len(records), chunk_size, jobs)
     payload = (
         tuple(workloads),
         general,
@@ -387,15 +365,8 @@ def sweep_provisioning_uncertain(
         draws=draws,
     ):
         return run_sharded(
-            _provisioning_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _provisioning_uncertain_chunk, payload, len(records),
+            combine=UncertainResult.concat, **options,
         )
 
 
@@ -431,7 +402,7 @@ def _shifting_uncertain_chunk(
     shape = (len(chunk), draws, len(workloads), len(policies))
     samples: dict[str, np.ndarray] = {}
     for metric in _SHIFTING_METRICS:
-        values = np.asarray(flat.column(metric), dtype=np.float64)
+        values = np.asarray(flat.array(metric), dtype=np.float64)
         samples[metric] = (
             values.reshape(shape)
             .transpose(0, 2, 3, 1)
@@ -463,12 +434,7 @@ def sweep_temporal_shifting_uncertain(
     capacity_kw: float = 2500.0,
     draws: int = 8,
     seed: int = 0,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    retries: Any = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
-    checkpoint: Any = None,
+    **options: Any,
 ) -> UncertainResult:
     """Carbon-aware scheduling bands across weather/demand noise draws.
 
@@ -478,9 +444,10 @@ def sweep_temporal_shifting_uncertain(
     through one batched :func:`~repro.traces.evaluate_policies` call
     per chunk — a draw is literally one more trace row in the
     evaluator's matrix — and come back as (region × workload × policy)
-    scenarios with per-draw samples. ``jobs``/``chunk_size`` shard the
-    *region* axis; noisy-trace seeds depend only on the draw index, so
-    sharded samples are bit-identical.
+    scenarios with per-draw samples. ``options`` (the
+    :class:`repro.exec.ExecOptions` knobs) shard the *region* axis;
+    noisy-trace seeds depend only on the draw index, so sharded samples
+    are bit-identical.
     """
     if hours < 48:
         raise SimulationError(
@@ -490,7 +457,6 @@ def sweep_temporal_shifting_uncertain(
     if draws <= 0:
         raise SimulationError("draw count must be positive")
     regions = region_names()
-    plan = ShardPlan.plan(len(regions), chunk_size, jobs)
     payload = (tuple(regions), hours, capacity_kw, draws, seed)
     with active_recorder().span(
         "batch",
@@ -499,13 +465,6 @@ def sweep_temporal_shifting_uncertain(
         draws=draws,
     ):
         return run_sharded(
-            _shifting_uncertain_chunk,
-            payload,
-            plan,
-            jobs=jobs,
-            combine=UncertainResult.concat,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-            checkpoint=checkpoint,
+            _shifting_uncertain_chunk, payload, len(regions),
+            combine=UncertainResult.concat, **options,
         )

@@ -100,3 +100,135 @@ def test_version_has_one_source():
     )
     assert "_version.py" in setup_text
     assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+#: Packages whose public functions take the execution knobs only as
+#: ``**options``. ``repro.serve`` is left out: ``ServeConfig`` keeps its
+#: deployment field names (``jobs``, ``chunk_size``, ``retries``).
+_OPTION_PACKAGES = (
+    "repro.scenarios",
+    "repro.uncertainty",
+    "repro.portfolio",
+    "repro.traces",
+)
+
+
+def _option_knobs() -> set[str]:
+    import dataclasses
+
+    from repro.exec import ExecOptions
+
+    return {field.name for field in dataclasses.fields(ExecOptions)}
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    [
+        name
+        for name in _all_modules()
+        if name.startswith(_OPTION_PACKAGES)
+    ],
+)
+def test_no_public_function_redeclares_an_execution_knob(module_name):
+    # The knobs live in ExecOptions alone; runners pass **options on.
+    # Positional-only parameters cannot receive a knob keyword.
+    module = importlib.import_module(module_name)
+    knobs = _option_knobs()
+    for name, member in vars(module).items():
+        if name.startswith("_") or not inspect.isfunction(member):
+            continue
+        if member.__module__ != module_name:
+            continue
+        declared = {
+            parameter.name
+            for parameter in inspect.signature(member).parameters.values()
+            if parameter.kind is not inspect.Parameter.POSITIONAL_ONLY
+        }
+        assert not declared & knobs, (
+            f"{module_name}.{name} declares {sorted(declared & knobs)}; "
+            "take them as **options and pass them to run_sharded"
+        )
+
+
+def _runner_calls() -> dict:
+    """One cheap valid call per sharded runner, taking extra keywords."""
+    from repro.analysis.uncertainty import Normal
+    from repro.portfolio import (
+        default_catalog,
+        sweep_portfolio,
+        sweep_portfolio_uncertain,
+    )
+    from repro.scenarios import (
+        example_service_mix,
+        facebook_like_fleet,
+        run_sweep,
+        run_uncertain_sweep,
+        sweep_fleet,
+        sweep_provisioning,
+        sweep_temporal_shifting,
+    )
+    from repro.traces import canonical_workloads, evaluate_policies, profile_catalog
+    from repro.uncertainty import (
+        sweep_fleet_uncertain,
+        sweep_provisioning_uncertain,
+        sweep_temporal_shifting_uncertain,
+    )
+
+    fleet = [{"annual_growth": 0.1}]
+    tagged = [{"facility.pue": Normal(1.2, 0.01)}]
+    cells = [{"node_shift": 0.0}]
+    return {
+        "sweep_fleet": lambda **kw: sweep_fleet(facebook_like_fleet(), fleet, **kw),
+        "sweep_provisioning": lambda **kw: sweep_provisioning(
+            *example_service_mix(), **kw
+        ),
+        "sweep_temporal_shifting": lambda **kw: sweep_temporal_shifting(48, **kw),
+        "run_sweep": lambda **kw: run_sweep("fleet_growth_lifetime", **kw),
+        "run_uncertain_sweep": lambda **kw: run_uncertain_sweep(
+            "fleet_growth_lifetime", 2, **kw
+        ),
+        "sweep_fleet_uncertain": lambda **kw: sweep_fleet_uncertain(
+            facebook_like_fleet(), tagged, draws=2, **kw
+        ),
+        "sweep_provisioning_uncertain": lambda **kw: sweep_provisioning_uncertain(
+            *example_service_mix(), draws=2, **kw
+        ),
+        "sweep_temporal_shifting_uncertain": (
+            lambda **kw: sweep_temporal_shifting_uncertain(48, draws=1, **kw)
+        ),
+        "sweep_portfolio": lambda **kw: sweep_portfolio(
+            default_catalog(), cells, **kw
+        ),
+        "sweep_portfolio_uncertain": lambda **kw: sweep_portfolio_uncertain(
+            default_catalog(), cells, draws=2, **kw
+        ),
+        "evaluate_policies": lambda **kw: evaluate_policies(
+            profile_catalog(48), canonical_workloads(), capacity_kw=2500.0, **kw
+        ),
+    }
+
+
+_RUNNERS = (
+    "sweep_fleet",
+    "sweep_provisioning",
+    "sweep_temporal_shifting",
+    "run_sweep",
+    "run_uncertain_sweep",
+    "sweep_fleet_uncertain",
+    "sweep_provisioning_uncertain",
+    "sweep_temporal_shifting_uncertain",
+    "sweep_portfolio",
+    "sweep_portfolio_uncertain",
+    "evaluate_policies",
+)
+
+
+@pytest.mark.parametrize("runner", _RUNNERS)
+def test_runner_validates_execution_knobs_through_exec_options(runner):
+    from repro.errors import ExecutionError
+
+    call = _runner_calls()[runner]
+    with pytest.raises(TypeError, match="jobz"):
+        call(jobz=2)
+    with pytest.raises(ExecutionError, match="a per-chunk timeout needs jobs > 1"):
+        call(timeout=1.0, jobs=1)

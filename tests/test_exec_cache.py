@@ -421,7 +421,8 @@ class TestCheckpointNamespace:
         result = run_sharded(
             _range_chunk,
             payload,
-            plan,
+            plan.num_scenarios,
+            chunk_size=plan.chunk_size,
             jobs=1,
             combine=lambda chunks: [v for chunk in chunks for v in chunk],
             checkpoint=store,

@@ -175,7 +175,8 @@ class TestInlineRecovery:
     def test_raise_fault_retried(self):
         spec = FaultSpec(rules=(FaultRule(kind="raise", starts=(5,), attempts=(1,)),))
         result = run_sharded(
-            _square_chunk, _PAYLOAD, _PLAN, combine=_flat, retries=1, faults=spec
+            _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size, combine=_flat, retries=1, faults=spec
         )
         assert result == _EXPECTED
 
@@ -184,7 +185,8 @@ class TestInlineRecovery:
             rules=(FaultRule(kind="corrupt", starts=(0,), attempts=(1,)),)
         )
         result = run_sharded(
-            _square_chunk, _PAYLOAD, _PLAN, combine=_flat, retries=1, faults=spec
+            _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size, combine=_flat, retries=1, faults=spec
         )
         assert result == _EXPECTED
 
@@ -194,7 +196,8 @@ class TestInlineRecovery:
         spec = FaultSpec(rules=(FaultRule(kind="raise", starts=(5,), attempts=None),))
         with pytest.raises(InjectedFault):
             run_sharded(
-                _square_chunk, _PAYLOAD, _PLAN, combine=_flat, faults=spec
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, combine=_flat, faults=spec
             )
 
     def test_no_retry_budget_propagates_from_pool(self):
@@ -203,7 +206,8 @@ class TestInlineRecovery:
             run_sharded(
                 _square_chunk,
                 _PAYLOAD,
-                _PLAN,
+                _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size,
                 jobs=2,
                 combine=_flat,
                 faults=spec,
@@ -215,7 +219,8 @@ class TestInlineRecovery:
             run_sharded(
                 _square_chunk,
                 _PAYLOAD,
-                _PLAN,
+                _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size,
                 combine=_flat,
                 retries=2,
                 faults=spec,
@@ -231,7 +236,8 @@ class TestInlineRecovery:
         result, report = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             combine=_flat,
             on_error="skip",
             faults=spec,
@@ -247,7 +253,8 @@ class TestInlineRecovery:
 
     def test_skip_mode_with_no_failures_reports_clean(self):
         result, report = run_sharded(
-            _square_chunk, _PAYLOAD, _PLAN, combine=_flat, on_error="skip"
+            _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size, combine=_flat, on_error="skip"
         )
         assert result == _EXPECTED
         assert not report and report.num_completed == 4
@@ -259,7 +266,8 @@ class TestInlineRecovery:
             run_sharded(
                 _square_chunk,
                 _PAYLOAD,
-                _PLAN,
+                _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size,
                 combine=_flat,
                 on_error="skip",
                 faults=spec,
@@ -267,12 +275,21 @@ class TestInlineRecovery:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ExecutionError):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, on_error="ignore")
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, on_error="ignore",
+            )
         with pytest.raises(ExecutionError):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, timeout=-1.0, jobs=2)
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, timeout=-1.0, jobs=2,
+            )
         with pytest.raises(ExecutionError):
             # Inline chunks cannot be cancelled, so a timeout needs jobs > 1.
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, timeout=5.0)
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, timeout=5.0,
+            )
 
 
 class TestPoolRecovery:
@@ -281,7 +298,8 @@ class TestPoolRecovery:
         result = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             jobs=2,
             combine=_flat,
             retries=2,
@@ -298,7 +316,8 @@ class TestPoolRecovery:
         result = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             jobs=2,
             combine=_flat,
             retries=1,
@@ -314,7 +333,8 @@ class TestPoolRecovery:
         result = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             jobs=2,
             combine=_flat,
             retries=1,
@@ -328,7 +348,8 @@ class TestPoolRecovery:
             run_sharded(
                 _square_chunk,
                 _PAYLOAD,
-                _PLAN,
+                _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size,
                 jobs=2,
                 combine=_flat,
                 retries=1,
@@ -344,7 +365,8 @@ class TestPoolRecovery:
         result, report = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             jobs=2,
             combine=_flat,
             timeout=0.3,
@@ -407,7 +429,10 @@ class TestPoolShutdown:
         monkeypatch.setattr(runner, "_pool_executor", RecordingPool)
         monkeypatch.setattr(runner, "_wait", interrupted_wait)
         with pytest.raises(KeyboardInterrupt):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, jobs=2, combine=_flat)
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, jobs=2, combine=_flat,
+            )
         assert len(pools) == 1
         assert pools[0].shutdown_calls == [
             {"wait": False, "cancel_futures": True}
@@ -439,7 +464,10 @@ class TestPoolShutdown:
         monkeypatch.setattr(runner, "_pool_executor", RecordingPool)
         monkeypatch.setattr(runner, "_wait", broken_wait)
         with pytest.raises(RuntimeError):
-            run_sharded(_square_chunk, _PAYLOAD, _PLAN, jobs=2, combine=_flat)
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, jobs=2, combine=_flat,
+            )
         assert pools[0].shutdown_calls == [
             {"wait": False, "cancel_futures": True}
         ]

@@ -57,7 +57,8 @@ def _run_traced(spec, *, jobs=1, retries=2, timeout=None):
         result = run_sharded(
             _square_chunk,
             _PAYLOAD,
-            _PLAN,
+            _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size,
             jobs=jobs,
             retries=retries,
             timeout=timeout,
@@ -232,7 +233,8 @@ class TestTracingIsInvisibleToResults:
 
     def test_faulted_pooled_sweep_bit_identical(self):
         plain = run_sharded(
-            _square_chunk, _PAYLOAD, _PLAN, jobs=2, combine=_flat
+            _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+            chunk_size=_PLAN.chunk_size, jobs=2, combine=_flat
         )
         spec = FaultSpec(
             rules=(
@@ -245,7 +247,8 @@ class TestTracingIsInvisibleToResults:
             traced = run_sharded(
                 _square_chunk,
                 _PAYLOAD,
-                _PLAN,
+                _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size,
                 jobs=2,
                 retries=2,
                 combine=_flat,

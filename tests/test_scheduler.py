@@ -24,7 +24,8 @@ class TestDiurnalGrid:
         )
 
     def test_cleanest_hour_is_around_solar_noon(self):
-        assert 11 <= DiurnalGridModel().cleanest_hour() <= 15
+        window = DiurnalGridModel().trace(24).cleanest_window(1)
+        assert 11 <= int(window.start_hour) <= 15
 
     def test_profile_is_24h_periodic(self):
         grid = DiurnalGridModel()

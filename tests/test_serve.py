@@ -105,6 +105,25 @@ class TestServeConfig:
         with pytest.raises(ServiceError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chunk_size": 0}, "chunk size must be positive"),
+            ({"retries": -1}, "retry count must be >= 0"),
+            ({"timeout_s": -1.0}, "per-chunk timeout must be positive"),
+            ({"jobs": 2, "timeout_s": 0.0}, "per-chunk timeout must be positive"),
+        ],
+    )
+    def test_rejects_invalid_execution_settings(self, kwargs, message):
+        # Validated through ExecOptions at construction, so a bad knob
+        # cannot reach run_sharded and answer every request with a 500.
+        with pytest.raises(ServiceError, match=message):
+            ServeConfig(**kwargs)
+
+    def test_timeout_is_accepted_inline(self):
+        # timeout_s only reaches run_sharded when jobs > 1.
+        assert ServeConfig(jobs=1, timeout_s=5.0).timeout_s == 5.0
+
     def test_service_error_is_a_repro_error(self):
         assert issubclass(ServiceError, ReproError)
 
@@ -1000,6 +1019,26 @@ class TestServeCli:
         summary = trace_summary(load_trace(trace_path))
         assert summary["counters"]["serve.requests"] == 1
         assert summary["counters"]["serve.status.2xx"] == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--chunk-size", "0"], ["--retries", "-1"], ["--timeout", "-1"]],
+    )
+    def test_invalid_execution_flags_exit_2_before_binding(self, flags):
+        # A subprocess with a timeout: a server that wrongly binds would
+        # otherwise serve forever.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "invalid execution settings" in result.stderr
+        assert "listening" not in result.stderr
 
     def test_serve_flags_parse(self, capsys):
         from repro.cli import main

@@ -177,7 +177,7 @@ class TestKernelNames:
         from repro.scenarios.runner import _fleet_chunk
 
         with pytest.raises(ExecutionError):
-            run_sharded(_fleet_chunk, None, ShardPlan.plan(4), jobs=0)
+            run_sharded(_fleet_chunk, None, 4, chunk_size=4, jobs=0)
 
 
 class TestDeterministicShardedEquivalence:
@@ -442,7 +442,8 @@ class TestCheckpointResume:
             run_sharded(
                 _logging_square_chunk,
                 payload,
-                plan,
+                plan.num_scenarios,
+                chunk_size=plan.chunk_size,
                 combine=_concat,
                 retries=1,
                 checkpoint=store,
@@ -460,7 +461,8 @@ class TestCheckpointResume:
         result = run_sharded(
             _logging_square_chunk,
             payload,
-            plan,
+            plan.num_scenarios,
+            chunk_size=plan.chunk_size,
             combine=_concat,
             checkpoint=resume,
         )

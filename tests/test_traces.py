@@ -244,35 +244,7 @@ class TestCleanestHourDelegation:
                     [model.intensity_at(float(h)).grams_per_kwh for h in range(24)]
                 )
             )
-            assert model.cleanest_hour() == legacy
-
-    def test_noise_does_not_move_the_cleanest_hour(self):
-        assert (
-            DiurnalGridModel(noise_g_per_kwh=50.0, seed=3).cleanest_hour()
-            == DiurnalGridModel().cleanest_hour()
-        )
-
-    def test_deprecation_warns_once_per_process(self, monkeypatch):
-        import warnings
-
-        from repro.datacenter import grid_sim
-
-        monkeypatch.setattr(grid_sim, "_CLEANEST_HOUR_WARNED", False)
-        model = DiurnalGridModel()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):  # a batched loop's worth of calls
-                model.cleanest_hour()
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-            and "cleanest_hour" in str(warning.message)
-        ]
-        assert len(deprecations) == 1
-        assert "cleanest_window" in str(deprecations[0].message)
-        # The once-guard stays latched for subsequent callers.
-        assert grid_sim._CLEANEST_HOUR_WARNED
+            assert int(model.trace(24).cleanest_window(1).start_hour) == legacy
 
 
 class TestWorkloadTrace:
