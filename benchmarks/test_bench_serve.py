@@ -15,6 +15,11 @@ reuses the measurements the two benchmark bodies just made (pytest
 runs this file top-down) and re-measures only if a first ratio lands
 under the bar — one retry, because a single-core CI box under noisy
 neighbors deserves a second opinion before the build goes red.
+
+``test_gate_serve_lockstep_latency_below_window`` covers the other end
+of the load range: two lockstep keep-alive clients fill every batch
+without waiting, so the coalescing window must close early and the
+median latency must stay below the window itself.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from load_gen import run_load  # noqa: E402
+
+from repro.serve import ServeConfig  # noqa: E402
 
 _CLIENTS = 1000
 _PER_CLIENT = 10
@@ -100,4 +107,19 @@ def test_gate_serve_coalescing_throughput():
         f"baseline {baseline['req_per_s']:.0f} req/s "
         f"p50 {baseline['p50_ms']:.1f} ms p99 {baseline['p99_ms']:.1f} ms); "
         f"gate is 5x"
+    )
+
+
+def test_gate_serve_lockstep_latency_below_window():
+    """Two lockstep clients never wait out the window: p50 < window."""
+    window_s = ServeConfig().batch_window_s
+    report = run_load(
+        clients=2, per_client=200, kind="portfolio", batch_window_s=window_s
+    )
+    assert report["ok"] == 400, report
+    assert report["errors"] == 0 and report["abandoned"] == 0, report
+    assert report["p50_ms"] < window_s * 1e3, (
+        f"two lockstep clients saw p50 {report['p50_ms']:.2f} ms; the "
+        f"{window_s * 1e3:.0f} ms coalescing window should close as soon "
+        f"as both requests are admitted"
     )

@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="MS",
-        help="how long the dispatcher lingers so concurrent requests "
-        "can join a batch (default: 5)",
+        help="longest the dispatcher lingers so concurrent requests "
+        "can join a batch; it closes early once no open connection "
+        "can join (default: 5)",
     )
     serve_parser.add_argument(
         "--no-coalesce",

@@ -157,6 +157,11 @@ class Span(object):
         return False
 
 
+#: Why a serve coalescing window closed (see :mod:`repro.serve.batcher`);
+#: a fixed vocabulary, so the ``serve.window.*`` counters stay bounded.
+_WINDOW_CLOSERS = ("idle", "full", "window", "drain")
+
+
 def _update_metrics(metrics: MetricsRegistry, payload: Mapping[str, Any]) -> None:
     """Fold one trace line into the registry.
 
@@ -217,6 +222,9 @@ def _update_metrics(metrics: MetricsRegistry, payload: Mapping[str, Any]) -> Non
         width = payload.get("width")
         if width is not None:
             metrics.histogram("serve.coalesce_width").observe(width)
+        closed_by = payload.get("closed_by")
+        if closed_by in _WINDOW_CLOSERS:
+            metrics.counter(f"serve.window.{closed_by}").inc()
     elif kind == "shed":
         metrics.counter("serve.shed").inc()
     elif kind == "deadline_expired":

@@ -5,8 +5,15 @@ Requests arrive one at a time; kernels want them in batches. The
 admits a request into a bounded queue (or sheds it — the queue is the
 service's *only* buffer, so memory stays bounded no matter the offered
 load) and parks the caller on a future; a single dispatcher task
-drains the queue in group-key batches, lingering ``window_s`` after a
-wake-up so concurrent arrivals can join the same kernel call.
+drains the queue in group-key batches, lingering after a wake-up so
+concurrent arrivals can join the same kernel call.
+
+``window_s`` is the *longest* the dispatcher lingers, not a fixed
+sleep: the window closes as soon as the batch can no longer grow —
+the owner's ``may_grow()`` reports that no further arrival is
+possible (``idle``), the front group already holds ``max_batch``
+requests (``full``), or a drain begins (``drain``). Otherwise it runs
+out (``window``). Each ``batch`` record names which one closed it.
 
 Deadlines are enforced at dispatch: a request whose budget expired
 while queued is answered with a structured 504 and never reaches a
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Sequence
 
 from ..errors import ServiceError
@@ -90,7 +97,11 @@ class MicroBatcher:
     it is the only place kernels run. ``record(kind, fields)``
     receives point facts (``admit``/``shed``/``expired``/``batch``/
     ``respond``/``depth``) for the owner to fold into metrics and
-    traces. The clock is injectable for deterministic deadline tests.
+    traces. ``may_grow()`` is re-checked after every arrival while the
+    window is open; once it returns false the batch is dispatched
+    early (``None`` means any arrival may still join, so the window
+    always runs out). The clock is injectable for deterministic
+    deadline tests.
     """
 
     def __init__(
@@ -100,6 +111,7 @@ class MicroBatcher:
         max_queue: int,
         max_batch: int,
         window_s: float = 0.0,
+        may_grow: "Callable[[], bool] | None" = None,
         record: "Callable[[str, dict], None] | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -112,9 +124,11 @@ class MicroBatcher:
         self._max_queue = max_queue
         self._max_batch = max_batch
         self._window_s = window_s
+        self._may_grow = may_grow or (lambda: True)
         self._record = record or _noop_record
         self._clock = clock
         self._queue: "deque[_Pending]" = deque()
+        self._group_sizes: "Counter[tuple]" = Counter()
         self._wake = asyncio.Event()
         self._drained = asyncio.Event()
         self._draining = False
@@ -157,6 +171,7 @@ class MicroBatcher:
             self._clock(),
         )
         self._queue.append(pending)
+        self._group_sizes[request.group_key] += 1
         self._record("admit", {"queue_depth": len(self._queue)})
         self._wake.set()
         return await pending.future
@@ -193,6 +208,7 @@ class MicroBatcher:
 
     def _flush_shutdown(self) -> int:
         """Answer everything still queued with a shutdown 503."""
+        self._group_sizes.clear()
         count = 0
         while self._queue:
             pending = self._queue.popleft()
@@ -212,20 +228,42 @@ class MicroBatcher:
     async def _run(self) -> None:
         while True:
             await self._wake.wait()
-            if (
-                self._queue
-                and self._window_s > 0
-                and not self._draining
-            ):
-                # Linger so concurrent arrivals can join this batch.
-                await asyncio.sleep(self._window_s)
+            closed_by = await self._linger()
             self._wake.clear()
             while self._queue:
-                await self._dispatch(self._next_batch())
+                await self._dispatch(self._next_batch(), closed_by)
             self._record("depth", {"queue_depth": 0})
             if self._draining:
                 self._drained.set()
                 return
+
+    async def _linger(self) -> str:
+        """Hold the window open while the front group can still grow.
+
+        Returns why it closed: ``drain``, ``full``, ``idle`` or
+        ``window``. Every arrival (and a drain) sets the wake event,
+        so each one re-checks the predicates.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self._window_s
+        while True:
+            if self._draining:
+                return "drain"
+            if not self._queue:
+                return "window"  # nothing to hold; no batch follows
+            front = self._queue[0].request.group_key
+            if self._group_sizes[front] >= self._max_batch:
+                return "full"
+            if not self._may_grow():
+                return "idle"
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return "window"
+            self._wake.clear()
+            try:
+                await asyncio.wait_for(self._wake.wait(), remaining)
+            except asyncio.TimeoutError:
+                return "window"
 
     def _next_batch(self) -> list[_Pending]:
         """Pop the next batch: front request plus group-key matches."""
@@ -244,6 +282,9 @@ class MicroBatcher:
             else:
                 rest.append(pending)
         self._queue = rest
+        self._group_sizes[key] -= len(batch)
+        if not self._group_sizes[key]:
+            del self._group_sizes[key]
         self._record("depth", {"queue_depth": len(self._queue)})
         return batch
 
@@ -259,7 +300,7 @@ class MicroBatcher:
             },
         )
 
-    async def _dispatch(self, batch: Sequence[_Pending]) -> None:
+    async def _dispatch(self, batch: Sequence[_Pending], closed_by: str) -> None:
         now = self._clock()
         live: list[_Pending] = []
         for pending in batch:
@@ -286,7 +327,11 @@ class MicroBatcher:
         budget_s = min(budgets) if budgets else None
         self._record(
             "batch",
-            {"kind": live[0].request.kind, "width": len(live)},
+            {
+                "kind": live[0].request.kind,
+                "width": len(live),
+                "closed_by": closed_by,
+            },
         )
         try:
             responses = await self._execute(

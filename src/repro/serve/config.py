@@ -4,7 +4,8 @@ Every tunable of the sweep service lives here so the CLI, the tests,
 and the load generator construct services the same way. The defaults
 describe a small single-host deployment: a bounded queue deep enough
 to absorb bursts, micro-batches wide enough to amortize kernel
-dispatch, and a short coalescing window that trades a few
+dispatch, and a short coalescing window — an upper bound, closed
+early once no open connection can join — that trades at most a few
 milliseconds of latency for order-of-magnitude throughput.
 """
 
@@ -26,8 +27,11 @@ class ServeConfig:
     ``max_queue`` bounds admission (beyond it requests are shed with a
     structured 429 — memory never grows with offered load), ``max_batch``
     caps how many queued requests coalesce into one kernel call, and
-    ``batch_window_s`` is how long the dispatcher lingers after the
-    first request of a batch so concurrent arrivals can join it.
+    ``batch_window_s`` is the longest the dispatcher lingers after the
+    first request of a batch so concurrent arrivals can join it. The
+    window closes early once the batch cannot grow: every open
+    connection already waits on an admitted request, the front group
+    holds ``max_batch`` requests, or a drain begins.
     ``coalesce=False`` forces ``max_batch=1`` semantics — the
     benchmark baseline. ``jobs``/``chunk_size``/``retries``/
     ``timeout_s`` forward to the sharded runners exactly like the

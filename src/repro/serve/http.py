@@ -7,7 +7,9 @@ misbehaving client cannot balloon memory (the same bounded-resource
 discipline the admission queue applies to well-formed traffic).
 Anything fancier — chunked encoding, TLS, HTTP/2 — is out of scope on
 purpose; the point is a dependency-free serving surface for the
-batched kernels.
+batched kernels. A request that names a ``Transfer-Encoding`` is
+refused with a 501 and the connection closed: reading it as an empty
+body would parse the chunk bytes as the next request.
 
 The router contract is tiny: an async callable
 ``route(method, path, body_bytes) -> (status, payload_dict, headers)``
@@ -32,6 +34,7 @@ STATUS_REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -42,10 +45,13 @@ _MAX_HEADER_LINES = 100
 class _HttpError(Exception):
     """A malformed request that still deserves a structured reply."""
 
-    def __init__(self, status: int, detail: str) -> None:
+    def __init__(
+        self, status: int, detail: str, error: str = "bad_request"
+    ) -> None:
         super().__init__(detail)
         self.status = status
         self.detail = detail
+        self.error = error
 
 
 async def read_request(
@@ -85,6 +91,13 @@ async def read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         raise _HttpError(400, f"more than {_MAX_HEADER_LINES} header lines")
+    if "transfer-encoding" in headers:
+        raise _HttpError(
+            501,
+            f"transfer-encoding {headers['transfer-encoding']!r} is not "
+            f"supported; send a content-length body",
+            "not_implemented",
+        )
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
     length_text = headers.get("content-length", "0")
     try:
@@ -156,7 +169,7 @@ async def serve_connection(
                 await write_response(
                     writer,
                     error.status,
-                    {"error": "bad_request", "detail": error.detail},
+                    {"error": error.error, "detail": error.detail},
                     keep_alive=False,
                 )
                 break

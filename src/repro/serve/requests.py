@@ -55,6 +55,9 @@ __all__ = [
 #: Request kinds the service accepts, in documentation order.
 KINDS = ("scenario", "portfolio", "sweep")
 
+#: Point-evaluation kinds: no cache or checkpoint I/O, one kernel call.
+CELL_KINDS = ("scenario", "portfolio")
+
 #: Cache-miss sentinel: cached sweep results may legitimately be falsy.
 _MISS = object()
 

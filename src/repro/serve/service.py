@@ -6,8 +6,8 @@ server, the :class:`~repro.serve.batcher.MicroBatcher`, the
 :class:`~repro.exec.ResultCache`, and a
 :class:`~repro.obs.metrics.MetricsRegistry` that the health endpoints
 read live. The execution path is: HTTP request → parse/validate →
-bounded admission → coalesced batch → one kernel call in a worker
-thread → per-request JSON responses.
+bounded admission → coalesced batch → one kernel call (in a worker
+thread, or inline when it is short) → per-request JSON responses.
 
 Failure behavior is the design center:
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 from typing import Any, Callable, Sequence
 
@@ -39,7 +40,7 @@ from .batcher import DrainingError, MicroBatcher, OverloadedError
 from .breaker import CircuitBreaker, is_infrastructure_error
 from .config import ServeConfig
 from .http import serve_connection
-from .requests import Request, Response, execute_group, parse_request
+from .requests import CELL_KINDS, Request, Response, execute_group, parse_request
 
 __all__ = ["SweepService"]
 
@@ -78,11 +79,17 @@ class SweepService:
             max_queue=self.config.max_queue,
             max_batch=self.config.effective_max_batch,
             window_s=self.config.effective_window_s,
+            # Each keep-alive connection carries one request at a time:
+            # once every open one waits on an admitted request, no
+            # arrival can join the batch, so the window closes early.
+            may_grow=lambda: len(self._writers) > self._busy,
             record=self._record,
             clock=clock,
         )
         self._server: "asyncio.Server | None" = None
         self._writers: "set[asyncio.StreamWriter]" = set()
+        self._busy = 0  # requests admitted and not yet answered
+        self._cost_s: dict[str, float] = {}  # last kernel s/request by kind
         self._started_at = clock()
         self._draining = False
         self._stopped = asyncio.Event()
@@ -225,6 +232,7 @@ class SweepService:
             self._validate_overrides(request)
         except ServiceError as error:
             return 400, {"error": "bad_request", "detail": str(error)}, {}
+        self._busy += 1
         try:
             response = await self._batcher.submit(request)
         except OverloadedError as error:
@@ -241,6 +249,8 @@ class SweepService:
             )
         except DrainingError as error:
             return 503, {"error": "shutting_down", "detail": str(error)}, {}
+        finally:
+            self._busy -= 1
         return response.status, response.payload, {}
 
     def _validate_overrides(self, request: Request) -> None:
@@ -298,24 +308,50 @@ class SweepService:
             options["timeout"] = min(budgets)
         return options
 
-    def _run_group(
+    async def _run_group(
         self,
         loop: asyncio.AbstractEventLoop,
         requests: Sequence[Request],
         options: dict[str, Any],
-    ) -> "asyncio.Future[list[Response]]":
-        """Answer one batch with ``options`` on an executor thread."""
-        return loop.run_in_executor(
-            None,
-            lambda: execute_group(
+    ) -> list[Response]:
+        """Answer one batch with ``options``, inline or on an executor thread.
+
+        An in-process (``jobs == 1``) kernel holds the GIL while it runs,
+        so a cell batch that finishes within one GIL switch interval
+        gives the loop no turn on a worker thread either; the thread
+        only adds two cross-thread wake-ups, whose cost swings with how
+        the host schedules them. Such a batch runs inline when no other
+        request waits in the queue, so blocking the loop delays no
+        queued batch; its length is predicted from the last per-request
+        cost of its kind. Sweeps, pooled runs, longer batches, batches
+        with work queued behind them and a kind not yet timed go to the
+        executor.
+        """
+        kind = requests[0].kind
+
+        def run() -> list[Response]:
+            began = time.perf_counter()
+            responses = execute_group(
                 list(requests),
                 options=options,
                 cache=self._cache,
                 checkpoint_factory=(
                     self._checkpoint_factory if self._cache is not None else None
                 ),
-            ),
-        )
+            )
+            self._cost_s[kind] = (time.perf_counter() - began) / len(requests)
+            return responses
+
+        per_request_s = self._cost_s.get(kind)
+        if (
+            kind in CELL_KINDS
+            and options["jobs"] == 1
+            and not self._batcher.queue_depth
+            and per_request_s is not None
+            and per_request_s * len(requests) < sys.getswitchinterval()
+        ):
+            return run()
+        return await loop.run_in_executor(None, run)
 
     def _checkpoint_factory(self, request: Request) -> Any:
         """A consume-mode checkpoint store for one sweep request."""
@@ -423,6 +459,7 @@ class SweepService:
                 "kind": "coalesce",
                 "endpoint": fields.get("kind"),
                 "width": fields.get("width"),
+                "closed_by": fields.get("closed_by"),
             }
         elif kind == "respond":
             payload = {

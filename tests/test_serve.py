@@ -4,11 +4,13 @@ Covers the three layers separately and then end-to-end:
 
 * unit: :class:`CircuitBreaker` state machine (injectable clock),
   request parsing/grouping, :class:`MicroBatcher` admission control,
-  coalescing, deadlines, and drain;
+  coalescing, the coalescing window's early close, deadlines, and
+  drain;
 * library: :func:`execute_group` answers are bit-identical to direct
   library calls regardless of batch composition;
 * end-to-end: a live :class:`SweepService` over real sockets —
-  health endpoints, coalesced correctness, shedding, breaker
+  health endpoints, coalesced correctness, lockstep clients that skip
+  the window, chunked-body refusal, shedding, breaker
   degradation with :class:`~repro.exec.FailureReport` attachment, and
   zero-loss SIGTERM-style drains (including the real CLI process).
 """
@@ -511,6 +513,82 @@ class TestMicroBatcher:
         assert all(r.status == 200 for r in responses)
 
 
+def _lingered(batcher_kwargs, submits, *, drain_after=None):
+    """Submit ``submits`` requests; time how long until all are answered.
+
+    Returns ``(elapsed_s, responses, batch_records, calls, abandoned)``.
+    With ``drain_after`` set, ``drain()`` starts that many seconds in
+    and ``elapsed_s`` is how long the drain itself took.
+    """
+
+    async def scenario():
+        calls, batches = [], []
+
+        def record(kind, fields):
+            if kind == "batch":
+                batches.append(fields)
+
+        batcher = MicroBatcher(
+            _echo_execute(calls), max_queue=64, record=record,
+            **batcher_kwargs,
+        )
+        batcher.start()
+        loop = asyncio.get_running_loop()
+        began = loop.time()
+        futures = [
+            asyncio.ensure_future(batcher.submit(Request(kind="scenario")))
+            for _ in range(submits)
+        ]
+        abandoned = None
+        if drain_after is not None:
+            await asyncio.sleep(drain_after)
+            began = loop.time()
+            abandoned = await batcher.drain()
+        responses = await asyncio.gather(*futures)
+        elapsed = loop.time() - began
+        if drain_after is None:
+            await batcher.drain()
+        return elapsed, responses, batches, calls, abandoned
+
+    return asyncio.run(scenario())
+
+
+class TestCoalescingWindow:
+    """``window_s`` bounds the linger; it closes once the batch can't grow."""
+
+    def test_window_closes_once_no_arrival_can_join(self):
+        elapsed, responses, batches, _, _ = _lingered(
+            {"max_batch": 64, "window_s": 5.0, "may_grow": lambda: False}, 1
+        )
+        assert elapsed < 1.0
+        assert [r.status for r in responses] == [200]
+        assert [b["closed_by"] for b in batches] == ["idle"]
+
+    def test_lone_request_waits_the_full_window_while_it_may_grow(self):
+        elapsed, _, batches, _, _ = _lingered(
+            {"max_batch": 64, "window_s": 0.3, "may_grow": lambda: True}, 1
+        )
+        assert elapsed >= 0.3 - 0.01
+        assert [b["closed_by"] for b in batches] == ["window"]
+
+    def test_full_front_group_dispatches_without_lingering(self):
+        elapsed, _, batches, calls, _ = _lingered(
+            {"max_batch": 3, "window_s": 5.0, "may_grow": lambda: True}, 3
+        )
+        assert elapsed < 1.0
+        assert [len(batch) for _, batch, _ in calls] == [3]
+        assert [b["closed_by"] for b in batches] == ["full"]
+
+    def test_drain_wakes_a_lingering_dispatcher(self):
+        elapsed, responses, batches, _, abandoned = _lingered(
+            {"max_batch": 64, "window_s": 5.0}, 3, drain_after=0.05
+        )
+        assert elapsed < 1.0
+        assert abandoned == 0
+        assert [r.status for r in responses] == [200] * 3
+        assert [b["closed_by"] for b in batches] == ["drain"]
+
+
 def _expected_scenario_row(overrides):
     """The bit-exact row a direct library call produces for one scenario."""
     from repro.datacenter.fleet import simulate_fleet_batch
@@ -766,6 +844,194 @@ class TestServiceEndpoints:
         assert counters["serve.status.2xx"] == len(overrides)
         widths = metrics["histograms"]["serve.coalesce_width"]
         assert widths["max"] > 1
+
+    def test_lockstep_clients_skip_the_window_until_a_connection_idles(self):
+        from repro.portfolio import default_catalog, sweep_portfolio
+
+        steps = [
+            ("portfolio", [{"lifetime_years": 3.0}, {"lifetime_years": 4.5}]),
+            ("scenario", [{"facility.pue": 1.2}, {"facility.pue": 1.4}]),
+            ("portfolio", [{"lifetime_years": 2.5}, {"lifetime_years": 6.0}]),
+        ]
+
+        async def lockstep(pair, kind, records):
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            replies = await asyncio.gather(
+                *(
+                    getattr(one, kind)(record)
+                    for one, record in zip(pair, records)
+                )
+            )
+            return loop.time() - began, replies
+
+        async def scenario(service, client):
+            pair = [ServiceClient("127.0.0.1", service.port) for _ in range(2)]
+            idle = ServiceClient("127.0.0.1", service.port)
+            try:
+                for one in pair:  # open both connections up front
+                    await one.healthz()
+                fast = [
+                    await lockstep(pair, kind, records)
+                    for kind, records in steps
+                ]
+                await idle.healthz()  # a third connection that sends nothing
+                slow = await lockstep(pair, *steps[0])
+                await idle.close()
+                metrics = (await pair[0].metrics())[1]["metrics"]
+                return fast, slow, metrics
+            finally:
+                for one in pair:
+                    await one.close()
+
+        fast, slow, metrics = run_service(
+            scenario, ServeConfig(batch_window_s=2.0)
+        )
+        catalog = default_catalog()
+        for (kind, records), (elapsed, replies) in zip(steps, fast):
+            assert elapsed < 1.0, (kind, elapsed)
+            for record, (status, payload) in zip(records, replies):
+                assert status == 200
+                if kind == "portfolio":
+                    direct = sweep_portfolio(catalog, [record])
+                    expected = {
+                        name: direct.column(name)[0] for name in payload["row"]
+                    }
+                else:
+                    expected = _expected_scenario_row(record)
+                for name, value in expected.items():
+                    assert payload["row"][name] == value, (kind, name)
+        # The idle third connection could still send, so the window ran
+        # its full length — and the pair still coalesced.
+        elapsed, replies = slow
+        assert elapsed >= 2.0 - 0.01
+        assert [status for status, _ in replies] == [200, 200]
+        widths = metrics["histograms"]["serve.coalesce_width"]
+        assert widths["count"] == len(steps) + 1
+        assert widths["min"] == widths["max"] == 2
+        counters = metrics["counters"]
+        assert counters["serve.window.idle"] == len(steps)
+        assert counters["serve.window.window"] == 1
+
+    def test_short_cell_batches_run_inline_once_timed(self, monkeypatch):
+        import threading
+
+        import repro.serve.service as service_module
+
+        kernel_threads = []
+        real_execute_group = service_module.execute_group
+
+        def spy(requests, **kwargs):
+            kernel_threads.append((requests[0].kind, threading.get_ident()))
+            return real_execute_group(requests, **kwargs)
+
+        monkeypatch.setattr(service_module, "execute_group", spy)
+
+        async def scenario(service, client):
+            # The first batch of a kind has no timing yet: executor.
+            replies = [await client.scenario({"facility.pue": 1.1})]
+            timed = service._cost_s["scenario"]
+            # Pin the timing the rule reads, so the routing does not
+            # depend on how fast this host runs the kernel: a cheap kind
+            # runs inline, one slower than the GIL switch interval goes
+            # back to the executor, and sweeps always run there.
+            for pue, cost_s in ((1.2, 0.0), (1.3, 0.0), (1.4, 1.0)):
+                service._cost_s["scenario"] = cost_s
+                replies.append(await client.scenario({"facility.pue": pue}))
+            service._cost_s["sweep"] = 0.0
+            replies.append(await client.sweep("fleet_growth_lifetime"))
+            # Two groups in one window: the batch dispatched first has
+            # the other queued behind it, so only the second runs inline.
+            service._cost_s.update(scenario=0.0, portfolio=0.0)
+            pair = [ServiceClient("127.0.0.1", service.port) for _ in range(2)]
+            try:
+                replies += await asyncio.gather(
+                    pair[0].scenario({"facility.pue": 1.5}),
+                    pair[1].portfolio({"lifetime_years": 3.0}),
+                )
+            finally:
+                for one in pair:
+                    await one.close()
+            return threading.get_ident(), timed, replies
+
+        loop_thread, timed, replies = run_service(
+            scenario, ServeConfig(batch_window_s=0.5)
+        )
+        assert timed > 0
+        assert [status for status, _ in replies] == [200] * 7
+        for (_, payload), pue in zip(replies, (1.1, 1.2, 1.3, 1.4)):
+            expected = _expected_scenario_row({"facility.pue": pue})
+            for name, value in expected.items():
+                assert payload["row"][name] == float(value), name
+        on_loop = [thread == loop_thread for _, thread in kernel_threads]
+        assert on_loop == [False, True, True, False, False, False, True]
+
+    def test_window_counters_agree_between_trace_and_metrics(self, tmp_path):
+        from repro.obs import TraceRecorder, install_recorder
+        from repro.obs.recorder import load_trace
+        from repro.obs.stats import trace_summary
+
+        trace = tmp_path / "serve.jsonl"
+
+        async def scenario(service, client):
+            others = [ServiceClient("127.0.0.1", service.port) for _ in range(3)]
+            try:
+                for one in others:
+                    await one.healthz()
+                for pue in (1.1, 1.3):
+                    await asyncio.gather(
+                        *(one.scenario({"facility.pue": pue}) for one in others)
+                    )
+                await others[0].scenario({})  # the other two stay open
+                return (await others[0].metrics())[1]["metrics"]
+            finally:
+                for one in others:
+                    await one.close()
+
+        recorder = TraceRecorder(trace)
+        try:
+            with install_recorder(recorder):
+                live = run_service(scenario, ServeConfig(batch_window_s=0.05))
+        finally:
+            recorder.close()
+        replayed = trace_summary(load_trace(trace))
+        names = {
+            name for name in live["counters"] if name.startswith("serve.window.")
+        }
+        assert names == {"serve.window.idle", "serve.window.window"}
+        for name in names:
+            assert replayed["counters"][name] == live["counters"][name], name
+        assert sum(live["counters"][name] for name in names) == (
+            live["counters"]["serve.batches"]
+        )
+
+    def test_chunked_body_is_refused_with_501_and_never_routed(self):
+        smuggled = b"POST /v1/scenario HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+
+        async def scenario(service, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(
+                b"POST /v1/scenario HTTP/1.1\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"%x\r\n%s\r\n0\r\n\r\n" % (len(smuggled), smuggled)
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            metrics = (await client.metrics())[1]["metrics"]
+            return raw, metrics
+
+        raw, metrics = run_service(scenario)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "not_implemented"
+        # One reply, then the server closed: neither the chunked request
+        # nor the request hidden in its chunk reached the batcher.
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert "serve.requests" not in metrics["counters"]
 
     def test_sweep_requests_share_the_warm_cache(self, tmp_path):
         async def scenario(service, client):
