@@ -76,11 +76,15 @@ if [[ "$quick" -eq 1 ]]; then
     # Serve smoke: a concurrent-client burst against the in-process
     # sweep service, both coalesced and baseline, must answer every
     # request (see tools/load_gen.py; the 5x throughput gate lives in
-    # benchmarks/test_bench_serve.py, run above).
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/load_gen.py \
-        --clients 200
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/load_gen.py \
-        --clients 200 --no-coalesce
+    # benchmarks/test_bench_serve.py, run above). Portfolio cells price
+    # the cached catalog; scenario cells swap overrides into the cached
+    # fleet frame.
+    for kind in portfolio scenario; do
+        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/load_gen.py \
+            --kind "$kind" --clients 200
+        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python tools/load_gen.py \
+            --kind "$kind" --clients 200 --no-coalesce
+    done
     echo "quick smoke run complete (untimed; no snapshot written)"
     exit 0
 fi

@@ -206,6 +206,7 @@ def _validate_params(
     params: Mapping[str, np.ndarray],
     names: Sequence[str],
     scenario_fields: "set[str]",
+    fields: "set[str] | None" = None,
 ) -> None:
     """Elementwise re-validation of (possibly overridden) parameters.
 
@@ -213,15 +214,24 @@ def _validate_params(
     every override application; the batch path mirrors those checks on
     the parameter arrays so bad scenario values fail loudly — naming
     the offending device or scenario cell — instead of flowing NaNs
-    into fleet aggregates.
+    into fleet aggregates. ``fields`` limits the checks to the rules
+    that read one of them (every rule when ``None``).
     """
+
+    def reads(*rule_fields: str) -> bool:
+        return fields is None or not fields.isdisjoint(rule_fields)
+
     for field, array in params.items():
+        if not reads(field):
+            continue
         finite = np.isfinite(array)
         if not finite.all():
             _complain(
                 field, array, ~finite, names, scenario_fields, "is non-finite"
             )
     for field in _POSITIVE_FIELDS:
+        if not reads(field):
+            continue
         bad = params[field] <= 0.0
         if bad.any():
             _complain(
@@ -229,6 +239,8 @@ def _validate_params(
                 "must be positive",
             )
     for field in _NON_NEGATIVE_FIELDS:
+        if not reads(field):
+            continue
         bad = params[field] < 0.0
         if bad.any():
             _complain(
@@ -236,41 +248,63 @@ def _validate_params(
                 "must be non-negative",
             )
     for field in ("abatement_coverage", "abatement_efficiency"):
+        if not reads(field):
+            continue
         bad = (params[field] < 0.0) | (params[field] > 1.0)
         if bad.any():
             _complain(
                 field, params[field], bad, names, scenario_fields,
                 "must be in [0, 1]",
             )
-    bad = (params["charge_efficiency"] <= 0.0) | (
-        params["charge_efficiency"] > 1.0
-    )
-    if bad.any():
-        _complain(
-            "charge_efficiency", params["charge_efficiency"], bad, names,
-            scenario_fields, "must be in (0, 1]",
+    if reads("charge_efficiency"):
+        bad = (params["charge_efficiency"] <= 0.0) | (
+            params["charge_efficiency"] > 1.0
         )
-    hours = params["active_hours_per_day"]
-    bad = (hours < 0.0) | (hours > 24.0)
-    if bad.any():
-        _complain(
-            "active_hours_per_day", hours, bad, names, scenario_fields,
-            "must be within a day",
-        )
-    bad = params["active_power_w"] < params["standby_power_w"]
-    if bad.any():
-        _complain(
-            "active_power_w",
-            np.broadcast_to(params["active_power_w"], bad.shape),
-            bad, names, scenario_fields, "is below standby power",
-        )
-    shift = params["node_shift"]
-    bad = shift != np.trunc(shift)
-    if bad.any():
-        _complain(
-            "node_shift", shift, bad, names, scenario_fields,
-            "must be an integral number of roadmap steps",
-        )
+        if bad.any():
+            _complain(
+                "charge_efficiency", params["charge_efficiency"], bad, names,
+                scenario_fields, "must be in (0, 1]",
+            )
+    if reads("active_hours_per_day"):
+        hours = params["active_hours_per_day"]
+        bad = (hours < 0.0) | (hours > 24.0)
+        if bad.any():
+            _complain(
+                "active_hours_per_day", hours, bad, names, scenario_fields,
+                "must be within a day",
+            )
+    if reads("active_power_w", "standby_power_w"):
+        bad = params["active_power_w"] < params["standby_power_w"]
+        if bad.any():
+            _complain(
+                "active_power_w",
+                np.broadcast_to(params["active_power_w"], bad.shape),
+                bad, names, scenario_fields, "is below standby power",
+            )
+    if reads("node_shift"):
+        shift = params["node_shift"]
+        bad = shift != np.trunc(shift)
+        if bad.any():
+            _complain(
+                "node_shift", shift, bad, names, scenario_fields,
+                "must be an integral number of roadmap steps",
+            )
+
+
+def check_scenario_cells(
+    columns: tuple, records: Sequence[Mapping[str, Any]]
+) -> None:
+    """Raise what the kernel's parameter checks raise for ``records``.
+
+    ``columns`` is :func:`_device_columns` output of a validated
+    catalog, so only the rules that read an overridden field can fail:
+    override names, value types, node names and those
+    :func:`_validate_params` rules are checked without computing a
+    metric. What needs the metrics themselves (zero good dies,
+    non-finite results) is left to the kernel.
+    """
+    params, _, _, names, scenario_fields = _parameter_grid(columns, records)
+    _validate_params(params, names, scenario_fields, fields=scenario_fields)
 
 
 def _metrics(

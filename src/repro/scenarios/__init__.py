@@ -16,6 +16,7 @@ from .runner import (
     SWEEPS,
     SweepSpec,
     apply_overrides,
+    fleet_scenario_frame,
     fleet_scenario_parameters,
     run_sweep,
     run_uncertain_sweep,
@@ -33,6 +34,7 @@ __all__ = [
     "wind_solar_portfolio",
     "apply_overrides",
     "fleet_scenario_parameters",
+    "fleet_scenario_frame",
     "sweep_fleet",
     "sweep_provisioning",
     "sweep_temporal_shifting",

@@ -1,10 +1,12 @@
 """Batched sweep runners: a grid in, a Table of results out.
 
-``sweep_fleet`` expands every scenario into a :class:`FleetParameters`
-(dotted override paths reach nested dataclasses) and runs them all
-through :func:`simulate_fleet_batch` — one vectorized kernel call, not
-one simulation per scenario. ``sweep_provisioning`` does the same for
-the heterogeneous-provisioning question. ``SWEEPS`` names a few
+``sweep_fleet`` turns every scenario into a cell of one
+:class:`~repro.datacenter.fleet.FleetFrame` (:func:`fleet_scenario_frame`:
+a chunk of numeric overrides swaps frame columns of the gathered base,
+any other chunk goes through dotted-path :func:`apply_overrides`) and
+runs them all through :func:`simulate_fleet_batch` — one vectorized
+kernel call, not one simulation per scenario. ``sweep_provisioning``
+does the same for the heterogeneous-provisioning question. ``SWEEPS`` names a few
 ready-made decision-space explorations for the ``repro sweep`` CLI.
 
 Every runner takes the :class:`repro.exec.ExecOptions` knobs
@@ -23,6 +25,7 @@ configuration (``tests/test_sharded_equivalence.py``). Under
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -31,7 +34,8 @@ import numpy as np
 from ..core.embodied import EmbodiedModel
 from ..data.grids import US_GRID
 from ..datacenter.fleet import (
-    FleetBatchResult,
+    DRAWABLE_PATHS,
+    FleetFrame,
     FleetParameters,
     simulate_fleet_batch,
 )
@@ -52,6 +56,7 @@ from .presets import example_service_mix, facebook_like_fleet
 __all__ = [
     "apply_overrides",
     "fleet_scenario_parameters",
+    "fleet_scenario_frame",
     "sweep_fleet",
     "sweep_provisioning",
     "sweep_temporal_shifting",
@@ -113,6 +118,54 @@ def fleet_scenario_parameters(
     return [apply_overrides(base, scenario) for scenario in records]
 
 
+def _swappable(record: Mapping[str, Any]) -> bool:
+    """Whether every override of ``record`` is a number on a frame column."""
+    return all(
+        path in DRAWABLE_PATHS
+        and isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        for path, value in record.items()
+    )
+
+
+def fleet_scenario_frame(
+    base: FleetParameters,
+    base_frame: FleetFrame,
+    records: Sequence[Mapping[str, Any]],
+    embodied: EmbodiedModel | None = None,
+) -> FleetFrame:
+    """The kernel frame of ``base`` under each override record, in order.
+
+    ``base_frame`` is ``FleetFrame.from_parameters([base], embodied)``,
+    which callers build once and reuse. When every record only sets
+    numbers on :data:`~repro.datacenter.fleet.DRAWABLE_PATHS`, each
+    takes a copy of that one cell and its values are swapped in with
+    :meth:`FleetFrame.with_paths`, which enforces the dataclasses'
+    rules; no cell becomes a dataclass. Otherwise every record is
+    gathered through :func:`apply_overrides` and
+    :meth:`FleetFrame.from_parameters`. Either way the frame simulates
+    exactly as ``[apply_overrides(base, record) for record in
+    records]`` does.
+    """
+    if not records:
+        raise SimulationError("need at least one scenario")
+    if not all(map(_swappable, records)):
+        return FleetFrame.from_parameters(
+            [apply_overrides(base, record) for record in records], embodied
+        )
+    paths = dict.fromkeys(path for record in records for path in record)
+    values = {
+        path: np.array(
+            [record.get(path, base_frame.columns[path][0]) for record in records],
+            dtype=np.float64,
+        )
+        for path in paths
+    }
+    return base_frame.repeat(len(records)).with_paths(
+        values, where="scenario {}".format
+    )
+
+
 def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
     """Chunk kernel: scenarios ``[start, stop)`` of a fleet sweep.
 
@@ -120,12 +173,11 @@ def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
     it by name; axis-column selection (``keep``) is decided over the
     *full* record list, so every chunk emits identical columns.
     """
-    base, records, embodied, keep = payload
+    base, base_frame, records, embodied, keep = payload
     chunk = records[start:stop]
-    batch = simulate_fleet_batch(
-        [apply_overrides(base, record) for record in chunk], embodied
-    )
-    return _attach_axes(chunk, batch.final_year_table(), keep=keep)
+    frame = fleet_scenario_frame(base, base_frame, chunk, embodied)
+    final = simulate_fleet_batch(frame).final_year_table()
+    return _attach_axes(chunk, final, keep=keep)
 
 
 def sweep_fleet(
@@ -148,7 +200,13 @@ def sweep_fleet(
     if not records:
         raise SimulationError("need at least one scenario")
     _reject_distribution_values(records)
-    payload = (base, records, embodied, _scalar_axis_names(records))
+    payload = (
+        base,
+        FleetFrame.from_parameters([base], embodied),
+        records,
+        embodied,
+        _scalar_axis_names(records),
+    )
     with active_recorder().span(
         "batch", fn="sweep_fleet", scenarios=len(records)
     ):

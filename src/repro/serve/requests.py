@@ -16,9 +16,11 @@ Three request kinds exist:
 * ``scenario`` — dotted-path overrides on the Facebook-like fleet
   preset, answered with the final simulated year's fleet metrics
   (one :func:`~repro.datacenter.fleet.simulate_fleet_batch` call for
-  the whole batch).
-* ``portfolio`` — scenario-cell overrides on the default device
-  catalog, answered with the fleet-aggregated
+  the whole batch, over cells that
+  :func:`~repro.scenarios.runner.fleet_scenario_frame` builds from the
+  preset's cached frame).
+* ``portfolio`` — scenario-cell overrides on the (cached) default
+  device catalog, answered with the fleet-aggregated
   :data:`~repro.portfolio.PORTFOLIO_METRICS` row (one
   :func:`~repro.portfolio.sweep_portfolio` call; requests only group
   when they override the same parameter names, which the portfolio
@@ -37,11 +39,12 @@ silently dropping them.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from ..errors import ServiceError
+from ..errors import ReproError, ServiceError
 from ..exec import run_sharded, split_outcome
 from ..tabular import Table
 
@@ -49,6 +52,7 @@ __all__ = [
     "Request",
     "Response",
     "parse_request",
+    "validate_overrides",
     "execute_group",
 ]
 
@@ -60,6 +64,46 @@ CELL_KINDS = ("scenario", "portfolio")
 
 #: Cache-miss sentinel: cached sweep results may legitimately be falsy.
 _MISS = object()
+
+#: What building a request's cells raises for a bad override value: a
+#: broken parameter rule, or a value of the wrong type meeting a
+#: comparison, ``float()`` or an attribute lookup.
+_OVERRIDE_ERRORS = (
+    ReproError, TypeError, ValueError, AttributeError, ArithmeticError,
+)
+
+
+class _CellBases(NamedTuple):
+    """The constant inputs every cell request overrides."""
+
+    fleet: Any  # the Facebook-like FleetParameters preset
+    frame: Any  # its one-cell FleetFrame
+    catalog: tuple  # the default DeviceSpec catalog
+    columns: tuple  # the catalog's device parameter columns
+
+
+@functools.cache
+def _cell_bases() -> _CellBases:
+    """The cell kinds' frozen, seedless inputs, built once per process.
+
+    Every scenario request overrides the same fleet preset and every
+    portfolio request prices the same catalog, so the preset's
+    dataclasses, its embodied bill, its renewable schedule and the
+    catalog's validated specs are never rebuilt per batch.
+    """
+    from ..datacenter.fleet import FleetFrame
+    from ..portfolio import default_catalog
+    from ..portfolio.batch import _device_columns
+    from ..scenarios.presets import facebook_like_fleet
+
+    fleet = facebook_like_fleet()
+    catalog = default_catalog()
+    return _CellBases(
+        fleet,
+        FleetFrame.from_parameters([fleet]),
+        catalog,
+        _device_columns(catalog),
+    )
 
 
 @dataclass(frozen=True)
@@ -188,24 +232,43 @@ def parse_request(kind: str, body: Any) -> Request:
     )
 
 
-def _json_value(value: Any) -> Any:
-    """Coerce a table cell (possibly a numpy scalar) to plain JSON."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
-    return value
+def validate_overrides(request: Request) -> None:
+    """Reject a cell request's bad overrides at admission, not in a batch.
+
+    A coalesced batch shares one kernel call, so one client's bad value
+    must not reach it. A scenario request's cell is built from the
+    cached base by the same
+    :func:`~repro.scenarios.runner.fleet_scenario_frame` call its batch
+    makes; a portfolio request's cell runs the kernel's own parameter
+    checks (:func:`~repro.portfolio.batch.check_scenario_cells`) over
+    the cached catalog. Whatever either raises is a 400 here. Raises
+    :class:`~repro.errors.ServiceError`.
+    """
+    if request.kind not in CELL_KINDS:
+        return
+    bases = _cell_bases()
+    try:
+        if request.kind == "scenario":
+            from ..scenarios.runner import fleet_scenario_frame
+
+            fleet_scenario_frame(
+                bases.fleet, bases.frame, [request.override_mapping]
+            )
+        else:
+            from ..portfolio.batch import check_scenario_cells
+
+            check_scenario_cells(bases.columns, [request.override_mapping])
+    except _OVERRIDE_ERRORS as error:
+        raise ServiceError(f"bad overrides: {error}") from error
 
 
 def _rows(table: Table, columns: Sequence[str]) -> list[dict[str, Any]]:
-    """The table as JSON-ready row dicts over ``columns`` only."""
-    data = {name: table.column(name) for name in columns}
-    return [
-        {name: _json_value(data[name][index]) for name in columns}
-        for index in range(table.num_rows)
-    ]
+    """The table as JSON-ready row dicts over ``columns`` only.
+
+    :meth:`Table.column` already returns native Python scalars.
+    """
+    data = [table.column(name) for name in columns]
+    return [dict(zip(columns, values)) for values in zip(*data)]
 
 
 def _surviving_indices(total: int, report: Any) -> list[int]:
@@ -224,11 +287,11 @@ def _scenario_chunk(payload: tuple, start: int, stop: int) -> Table:
     response schema carries no trace of batch geometry.
     """
     from ..datacenter.fleet import simulate_fleet_batch
-    from ..scenarios.runner import apply_overrides
+    from ..scenarios.runner import fleet_scenario_frame
 
-    base, records = payload
-    params = [apply_overrides(base, record) for record in records[start:stop]]
-    return simulate_fleet_batch(params).final_year_table().drop("scenario")
+    base, frame, records = payload
+    cells = fleet_scenario_frame(base, frame, records[start:stop])
+    return simulate_fleet_batch(cells).final_year_table().drop("scenario")
 
 
 #: Metric columns of a portfolio response row — a fixed schema, never
@@ -249,11 +312,10 @@ def _execute_scenarios(
     requests: Sequence[Request], options: Mapping[str, Any]
 ) -> list[Response]:
     """One ``simulate_fleet_batch`` call for N scenario requests."""
-    from ..scenarios.presets import facebook_like_fleet
-
+    bases = _cell_bases()
     records = [request.override_mapping for request in requests]
     outcome = run_sharded(
-        _scenario_chunk, (facebook_like_fleet(), records), len(records),
+        _scenario_chunk, (bases.fleet, bases.frame, records), len(records),
         combine=Table.concat, **options,
     )
     table, report = split_outcome(outcome, options.get("on_error", "raise"))
@@ -283,10 +345,10 @@ def _execute_portfolio(
     requests: Sequence[Request], options: Mapping[str, Any]
 ) -> list[Response]:
     """One ``sweep_portfolio`` call for N same-shaped cell requests."""
-    from ..portfolio import default_catalog, sweep_portfolio
+    from ..portfolio import sweep_portfolio
 
     records = [request.override_mapping for request in requests]
-    outcome = sweep_portfolio(default_catalog(), records, **options)
+    outcome = sweep_portfolio(_cell_bases().catalog, records, **options)
     table, report = split_outcome(outcome, options.get("on_error", "raise"))
     rows = _rows(table, _PORTFOLIO_COLUMNS)
     # The portfolio shards its *device* axis: a skipped chunk loses

@@ -21,6 +21,9 @@ Failure behavior is the design center:
   batch while the breaker is open — rerun on the degraded path
   (inline, ``on_error="skip"``), so clients get partial answers with
   the :class:`~repro.exec.FailureReport` attached instead of timeouts.
+* **Request errors** answer 400: admission checks each cell request's
+  own inputs, and a cell batch the kernel still refuses is split in
+  halves until the bad request is alone, so only it fails.
 * **Drain** (SIGTERM) refuses new work with 503s, flushes every
   admitted request, then closes — zero accepted requests are lost.
 """
@@ -33,14 +36,21 @@ import sys
 import time
 from typing import Any, Callable, Sequence
 
-from ..errors import ServiceError
+from ..errors import ChunkFailedError, ServiceError, SimulationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import _update_metrics, active_recorder
 from .batcher import DrainingError, MicroBatcher, OverloadedError
 from .breaker import CircuitBreaker, is_infrastructure_error
 from .config import ServeConfig
 from .http import serve_connection
-from .requests import CELL_KINDS, Request, Response, execute_group, parse_request
+from .requests import (
+    CELL_KINDS,
+    Request,
+    Response,
+    execute_group,
+    parse_request,
+    validate_overrides,
+)
 
 __all__ = ["SweepService"]
 
@@ -229,7 +239,7 @@ class SweepService:
             return 400, {"error": "bad_request", "detail": str(error)}, {}
         try:
             request = parse_request(kind, decoded)
-            self._validate_overrides(request)
+            validate_overrides(request)
         except ServiceError as error:
             return 400, {"error": "bad_request", "detail": str(error)}, {}
         self._busy += 1
@@ -252,31 +262,6 @@ class SweepService:
         finally:
             self._busy -= 1
         return response.status, response.payload, {}
-
-    def _validate_overrides(self, request: Request) -> None:
-        """Reject bad override paths at admission, not inside a batch.
-
-        A coalesced batch shares one kernel call; validating here keeps
-        one client's typo from poisoning its batchmates.
-        """
-        if request.kind == "scenario":
-            from ..errors import SimulationError
-            from ..scenarios.presets import facebook_like_fleet
-            from ..scenarios.runner import apply_overrides
-
-            try:
-                apply_overrides(facebook_like_fleet(), request.override_mapping)
-            except SimulationError as error:
-                raise ServiceError(str(error)) from error
-        elif request.kind == "portfolio":
-            from ..portfolio.catalog import OVERRIDABLE_FIELDS
-
-            for name, _ in request.overrides:
-                if name not in OVERRIDABLE_FIELDS:
-                    raise ServiceError(
-                        f"cannot sweep {name!r}: portfolio scenarios may "
-                        f"override {sorted(OVERRIDABLE_FIELDS)}"
-                    )
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -383,24 +368,47 @@ class SweepService:
             breaker=self.breaker.state if not primary_allowed else "closed",
         ):
             if primary_allowed:
-                try:
-                    responses = await self._run_group(
-                        loop, requests, self._exec_options(budget_s)
-                    )
-                except Exception as error:
-                    if not is_infrastructure_error(error):
-                        raise  # batcher answers the batch with 500s
-                    self.breaker.record_failure()
-                    responses = await self._execute_degraded(
-                        loop, requests, error
-                    )
-                else:
-                    self.breaker.record_success()
+                responses = await self._execute_primary(
+                    loop, requests, self._exec_options(budget_s)
+                )
             else:
                 responses = await self._execute_degraded(loop, requests, None)
         for response in responses:
             if response.payload.get("degraded"):
                 self.metrics.counter("serve.degraded").inc()
+        return responses
+
+    async def _execute_primary(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        requests: Sequence[Request],
+        options: dict[str, Any],
+    ) -> list[Response]:
+        """Answer a batch on the primary path, reporting to the breaker.
+
+        A cell batch the kernel refuses for a request's values is split
+        in halves and each half answered on its own: the cell kernels
+        are element-wise, so a request's answer in a half is the one it
+        would have had in the batch. The lone request left holding the
+        error answers 400. One bad request among N costs about
+        ``2 * log2(N)`` reruns.
+        """
+        try:
+            responses = await self._run_group(loop, requests, options)
+        except Exception as error:
+            refused = _refused_cells(requests, error)
+            if refused is not None:
+                if len(requests) == 1:
+                    return [_bad_request(refused)]
+                half = len(requests) // 2
+                return await self._execute_primary(
+                    loop, requests[:half], options
+                ) + await self._execute_primary(loop, requests[half:], options)
+            if not is_infrastructure_error(error):
+                raise  # batcher answers the batch with 500s
+            self.breaker.record_failure()
+            return await self._execute_degraded(loop, requests, error)
+        self.breaker.record_success()
         return responses
 
     async def _execute_degraded(
@@ -479,3 +487,27 @@ class SweepService:
                 if name not in ("type", "kind")
             }
             recorder.event(payload["kind"], **event_fields)
+
+
+def _refused_cells(
+    requests: Sequence[Request], error: BaseException
+) -> "SimulationError | None":
+    """The kernel's refusal of a cell batch's values, if ``error`` is one.
+
+    With retries armed, the sharded runner retries the kernel's
+    deterministic :class:`~repro.errors.SimulationError` and then wraps
+    it in a :class:`~repro.errors.ChunkFailedError`; that is still the
+    client's input, not a failing execution substrate.
+    """
+    if requests[0].kind not in CELL_KINDS:
+        return None
+    if isinstance(error, ChunkFailedError):
+        error = error.__cause__
+    return error if isinstance(error, SimulationError) else None
+
+
+def _bad_request(error: BaseException) -> Response:
+    """A request-level failure: the client's input, not the service."""
+    return Response(
+        status=400, payload={"error": "bad_request", "detail": str(error)}
+    )

@@ -1,16 +1,19 @@
 """FleetFrame: the struct-of-arrays input of the fleet kernel.
 
 Uncertain fleet sweeps build one :class:`FleetParameters` per scenario
-and swap each draw's values in as frame columns. These tests pin that
-frame path to per-cell ``apply_overrides`` + ``simulate_fleet_batch``
-over a list and to the scalar ``simulate_fleet``, exactly (``==``),
-and check that out-of-range draws and undrawable paths raise naming
-where they came from.
+and swap each draw's values in as frame columns; deterministic fleet
+sweeps (``fleet_scenario_frame``) swap numeric overrides into the
+base's one gathered cell. These tests pin both frame paths to per-cell
+``apply_overrides`` + ``simulate_fleet_batch`` over a list and to the
+scalar ``simulate_fleet``, exactly (``==``), and check that
+out-of-range values and undrawable paths raise naming where they came
+from, wherever the dataclasses would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,12 +27,16 @@ from repro.datacenter.fleet import (
     simulate_fleet,
     simulate_fleet_batch,
 )
+from repro.datacenter.server import AI_TRAINING_SERVER
 from repro.errors import SimulationError
 from repro.scenarios import (
     apply_overrides,
     facebook_like_fleet,
+    fleet_scenario_frame,
+    sweep_fleet,
     wind_solar_portfolio,
 )
+from repro.scenarios.runner import _attach_axes, _scalar_axis_names
 from repro.uncertainty import build_draw_matrix, sweep_fleet_uncertain
 
 _BASE = facebook_like_fleet()
@@ -243,3 +250,110 @@ class TestFramePaths:
         frame = FleetFrame.from_parameters([_BASE])
         with pytest.raises(SimulationError, match="drawable paths are"):
             frame.with_paths({"facility.puee": np.array([1.2])})
+
+
+#: Deterministic sweep records mixing both frame paths: numeric
+#: overrides (ints, floats, truncating counts, years past the base
+#: ramp) swap columns; names, ramps and whole objects are gathered.
+_RECORDS = [
+    {},
+    {"facility.pue": 1.3},
+    {"years": 5.0, "initial_servers": 40000},
+    {"facility.name": "elsewhere", "facility.pue": 1.2},
+    {"years": 9, "utilization": 0.6},
+    {"renewable_ramp": {0: wind_solar_portfolio(30.0, 0.0),
+                        7: wind_solar_portfolio(900.0, 50.0)}, "years": 3},
+    {"server": AI_TRAINING_SERVER, "annual_growth": 0.1},
+    {"server.idle_power.watts_value": 80, "server.peak_power.watts_value": 500.5},
+    {"server.bill.dram_gb": 512.0},
+    {"initial_servers": 7.9, "start_year": 2020},
+]
+
+
+#: The records above that only set numbers on frame columns.
+_NUMERIC_RECORDS = [
+    record for record in _RECORDS
+    if all(
+        path in DRAWABLE_PATHS and isinstance(value, (int, float))
+        for path, value in record.items()
+    )
+]
+_BASE_FRAME = FleetFrame.from_parameters([_BASE])
+
+
+def _per_scenario_oracle(base, records):
+    """The per-scenario dataclass path ``sweep_fleet`` used to take."""
+    batch = simulate_fleet_batch([apply_overrides(base, r) for r in records])
+    return _attach_axes(
+        records, batch.final_year_table(), keep=_scalar_axis_names(records)
+    )
+
+
+def _rejects(build) -> bool:
+    """Whether ``build`` refuses its value (a gather may fail past the rules)."""
+    try:
+        build()
+    except Exception:
+        return True
+    return False
+
+
+class TestScenarioFrame:
+    @pytest.mark.parametrize(
+        "records", [_RECORDS, _NUMERIC_RECORDS], ids=["gathered", "swapped"]
+    )
+    def test_frame_matches_per_scenario_dataclasses(self, records):
+        frame = fleet_scenario_frame(_BASE, _BASE_FRAME, records)
+        batch = simulate_fleet_batch(frame)
+        reference = simulate_fleet_batch(
+            [apply_overrides(_BASE, record) for record in records]
+        )
+        for field in dataclasses.fields(batch):
+            mine = getattr(batch, field.name)
+            theirs = getattr(reference, field.name)
+            assert mine.dtype == theirs.dtype, field.name
+            assert np.array_equal(mine, theirs), field.name
+
+    # Mixed chunks gather every record; all-numeric chunks swap.
+    @pytest.mark.parametrize(
+        "records", [_RECORDS, _NUMERIC_RECORDS], ids=["mixed", "numeric"]
+    )
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_sweep_fleet_matches_the_per_scenario_oracle(
+        self, chunk_size, records
+    ):
+        table = sweep_fleet(_BASE, records, chunk_size=chunk_size)
+        oracle = _per_scenario_oracle(_BASE, records)
+        assert table.column_names == oracle.column_names
+        for name in oracle.column_names:
+            assert table.column(name) == oracle.column(name), name
+
+    def test_swapped_error_names_its_scenario(self):
+        records = [{"facility.pue": 1.3}, {"facility.pue": 1.2},
+                   {"facility.pue": 0.9}]
+        with pytest.raises(SimulationError, match=r"^scenario 2: facility.pue"):
+            fleet_scenario_frame(_BASE, _BASE_FRAME, records)
+
+    @pytest.mark.parametrize("path", DRAWABLE_PATHS)
+    def test_with_paths_rejects_what_the_dataclasses_reject(self, path):
+        base_frame = _BASE_FRAME
+        rejected = []
+        for value in (-1.0, 0.0, 0.5, 1.0, 1.5, 250.0, 1e4,
+                      math.inf, -math.inf, math.nan):
+            dataclasses_reject = _rejects(
+                lambda: apply_overrides(_BASE, {path: value})
+            )
+            gather_rejects = _rejects(lambda: FleetFrame.from_parameters(
+                [apply_overrides(_BASE, {path: value})]
+            ))
+            frame_rejects = _rejects(
+                lambda: base_frame.with_paths({path: np.array([value])})
+            )
+            if dataclasses_reject:
+                rejected.append(value)
+                assert frame_rejects, value
+            if math.isfinite(value):
+                # Finite values: both paths agree either way.
+                assert frame_rejects == gather_rejects, value
+        # Every path but the start year has a rule the values exercise.
+        assert rejected or path == "start_year"
