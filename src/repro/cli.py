@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # experiment ids and titles
     python -m repro run fig10            # one experiment, full render
-    python -m repro run all --parallel --jobs 4   # over a process pool
+    python -m repro run all --jobs 4     # over a process pool
     python -m repro checks               # one-line pass/fail per artifact
     python -m repro sweep fleet_growth_lifetime   # a named scenario sweep
     python -m repro sweep fleet_growth_lifetime --jobs 4 --chunk-size 64
@@ -80,16 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument("experiment", help=_experiment_help())
     run_parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="with 'all': run experiments over a process pool",
-    )
-    run_parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for --parallel (default: cpu count)",
+        help="with 'all': run the drivers over N worker processes "
+        "(default: 1, inline); results are identical for every N",
     )
     _add_fault_arguments(run_parser, unit="experiment")
     _add_cache_arguments(run_parser)
@@ -431,37 +427,19 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(
-    experiment: str,
-    parallel: bool,
-    jobs: int | None,
-    cache_dir: str | None,
-    retries: int | None,
-    timeout: float | None,
-    on_error: str,
-) -> int:
-    batch_flags = (
-        parallel
-        or jobs is not None
-        or retries is not None
-        or timeout is not None
-        or on_error != "raise"
-    )
-    if experiment != "all" and batch_flags:
+#: The execution knobs ``repro run`` accepts, at their flag defaults.
+_RUN_DEFAULTS = {"jobs": 1, "retries": None, "timeout": None, "on_error": "raise"}
+
+
+def _command_run(experiment: str, cache_dir: str | None, options: dict) -> int:
+    if experiment != "all" and options != _RUN_DEFAULTS:
         print(
-            "note: --parallel/--jobs/--retries/--timeout/--on-error only "
-            f"apply to 'run all'; running {experiment} in-process",
+            "note: --jobs/--retries/--timeout/--on-error only apply to "
+            f"'run all'; running {experiment} in-process",
             file=sys.stderr,
         )
     if experiment == "all":
-        results = run_all(
-            parallel=parallel,
-            max_workers=jobs,
-            cache_dir=cache_dir,
-            retries=retries,
-            timeout=timeout,
-            on_error=on_error,
-        )
+        results = run_all(cache_dir=cache_dir, **options)
         failures = 0
         for experiment_id, result in results.items():
             status = "ok" if result.all_checks_pass else "FAIL"
@@ -508,18 +486,10 @@ def _command_sweep(
     resume: bool,
     options: dict,
 ) -> int:
-    from .exec import (
-        CheckpointStore,
-        ResultCache,
-        cache_key,
-        package_fingerprint,
-        split_outcome,
-    )
+    from .exec import ResultCache
     from .experiments.markdown import markdown_table
     from .report.tables import render_table
-    from .scenarios import SWEEPS, run_sweep, run_uncertain_sweep
-    from .tabular import Table
-    from .uncertainty import UncertainResult
+    from .scenarios import SWEEPS, cached_sweep
 
     spec = SWEEPS[name]
     disk = ResultCache(cache_dir) if cache_dir is not None else None
@@ -529,7 +499,6 @@ def _command_sweep(
             file=sys.stderr,
         )
         return 2
-    report = None
     if draws is None:
         # A deterministic sweep must not silently swallow Monte Carlo
         # flags the user believes are in effect.
@@ -537,55 +506,18 @@ def _command_sweep(
             if value is not None:
                 print(f"error: {flag} needs --draws", file=sys.stderr)
                 return 2
-        # jobs/chunk_size are not part of the key: sharded sweeps are
-        # bit-identical to monolithic ones, so any parallelism level
-        # warm-starts every other.
-        key = (
-            cache_key("sweep", name, "point", package_fingerprint())
-            if disk is not None
-            else None
-        )
-        table = disk.get(key) if disk is not None else None
-        if not isinstance(table, Table):
-            checkpoint = (
-                CheckpointStore(
-                    cache_dir,
-                    spec_parts=("sweep", name, "point"),
-                    consume=resume,
-                )
-                if disk is not None
-                else None
-            )
-            outcome = run_sweep(name, checkpoint=checkpoint, **options)
-            table, report = split_outcome(outcome, options["on_error"])
-            # A partial table must never be served as the sweep's result.
-            if disk is not None and not report:
-                disk.put(key, table)
+    result, report, _ = cached_sweep(
+        name,
+        draws,
+        seed if seed is not None else 0,
+        cache=disk,
+        resume=resume,
+        **options,
+    )
+    if draws is None:
+        table = result
         footer = f"{table.num_rows} scenarios, batched kernels"
     else:
-        seed_value = seed if seed is not None else 0
-        key = (
-            cache_key("sweep", name, draws, seed_value, package_fingerprint())
-            if disk is not None
-            else None
-        )
-        result = disk.get(key) if disk is not None else None
-        if not isinstance(result, UncertainResult):
-            checkpoint = (
-                CheckpointStore(
-                    cache_dir,
-                    spec_parts=("sweep", name, draws, seed_value),
-                    consume=resume,
-                )
-                if disk is not None
-                else None
-            )
-            outcome = run_uncertain_sweep(
-                name, draws, seed_value, checkpoint=checkpoint, **options
-            )
-            result, report = split_outcome(outcome, options["on_error"])
-            if disk is not None and not report:
-                disk.put(key, result)
         if band is not None and band not in result.metric_names:
             print(
                 f"error: no metric {band!r}; have {result.metric_names}",
@@ -778,12 +710,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             ):
                 return _command_run(
                     args.experiment,
-                    args.parallel,
-                    args.jobs,
                     _resolve_cache_dir(args.cache_dir, args.no_cache),
-                    args.retries,
-                    args.timeout,
-                    args.on_error,
+                    {knob: getattr(args, knob) for knob in _RUN_DEFAULTS},
                 )
         if args.command == "checks":
             return _command_checks()

@@ -39,12 +39,13 @@ and peak RSS back inside the result envelopes), and
 attempt-outcome sequences a traced run must reproduce.
 
 The sweep runners in :mod:`repro.scenarios`, :mod:`repro.uncertainty`,
-:mod:`repro.portfolio` and :mod:`repro.traces` all take the
-:class:`ExecOptions` knobs as ``**options`` and pass them to
-:func:`run_sharded` untouched; :func:`split_outcome` unpacks their
-``on_error="skip"`` results. The CLI surfaces the knobs as ``repro
-sweep NAME --jobs N --retries R --timeout S --on-error skip
---resume``.
+:mod:`repro.portfolio` and :mod:`repro.traces`, and the experiment
+registry's ``run_all``, all take the :class:`ExecOptions` knobs as
+``**options`` and pass them to :func:`run_sharded` untouched;
+:func:`split_outcome` unpacks their ``on_error="skip"`` results. The
+CLI surfaces the knobs as ``repro sweep NAME --jobs N --retries R
+--timeout S --on-error skip --resume`` and ``repro run all --jobs N
+--retries R --timeout S --on-error skip``.
 """
 
 from .cache import (

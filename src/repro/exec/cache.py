@@ -11,7 +11,7 @@ those knobs are deliberately *not* part of the key: a result computed
 at one parallelism level warm-starts every other.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent
-processes — ``run_all(parallel=True)`` workers, overlapping CLI
+processes — ``run_all(jobs=N)`` workers, overlapping CLI
 invocations — can share one directory without torn reads; a corrupt
 or unreadable entry is treated as a miss, never an error.
 

@@ -51,7 +51,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import ChunkFailedError, CorruptChunkError, ExecutionError
 from ..obs.recorder import active_recorder
@@ -59,6 +59,9 @@ from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
 from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .checkpoint import CheckpointStore
 
 try:
     import resource as _resource
@@ -259,25 +262,23 @@ def _split_envelope_events(raw: Any) -> "tuple[Any, list | None]":
     return raw, None
 
 
-@dataclass(frozen=True)
-class _PoolTask:
-    """One unit of pool work: a caller key, a backoff stream, call args."""
-
-    key: Any
-    stream: int
-    args: tuple
-
-
 @dataclass
-class _TaskFailure:
-    """A task that exhausted its retry budget, with its final cause."""
+class _ShardFailure:
+    """A shard that exhausted its retry budget, with its final cause."""
 
-    key: Any
-    stream: int
+    shard: Shard
     attempts: int
     kind: str
     message: str
     error: "BaseException | None" = None
+
+    def report(self) -> ChunkFailure:
+        """This failure in its :class:`~repro.exec.retry.FailureReport` form."""
+        error = repr(self.error) if self.error is not None else self.message
+        shard = self.shard
+        return ChunkFailure(
+            shard.index, shard.start, shard.stop, self.attempts, self.kind, error
+        )
 
 
 def _abandon_pool(pool: Any) -> None:
@@ -301,47 +302,43 @@ def _abandon_pool(pool: Any) -> None:
 
 
 def _run_pool_tasks(
-    tasks: Sequence[_PoolTask],
+    shards: Sequence[Shard],
     *,
-    task_fn: Callable[..., Any],
     workers: int,
     retry: RetryPolicy,
-    timeout: "float | None" = None,
-    initializer: "Callable[..., None] | None" = None,
-    initargs: tuple = (),
-    postprocess: "Callable[[_PoolTask, Any], Any] | None" = None,
-    scope: str = "chunk",
-) -> tuple[dict[Any, Any], list[_TaskFailure]]:
+    timeout: "float | None",
+    initargs: tuple,
+    checkpoint: "CheckpointStore | None",
+) -> tuple[dict[int, Any], list[_ShardFailure]]:
     """The wave-based fault-tolerant pool engine.
 
-    Runs ``task_fn(*task.args, attempt)`` for every task across a
-    process pool, retrying failures per ``retry``. Each *wave* owns a
-    fresh pool; a wave ends normally when all its futures resolve, or
-    is abandoned when the pool breaks (worker crash) or a chunk runs
-    past ``timeout`` — the unfinished, uncharged tasks roll into the
-    next wave. ``postprocess(task, raw)`` runs driver-side on each
-    completed future (envelope verification, checkpointing); an
-    exception there counts as a failed attempt of that task.
+    Runs ``_worker_chunk(shard.start, shard.stop, attempt)`` for every
+    shard across a process pool whose workers are initialized with
+    ``_worker_init(*initargs)``, retrying failures per ``retry``. Each
+    *wave* owns a fresh pool; a wave ends normally when all its
+    futures resolve, or is abandoned when the pool breaks (worker
+    crash) or a chunk runs past ``timeout`` — the unfinished, uncharged
+    shards roll into the next wave. Each completed future's envelope is
+    verified driver-side (and the chunk checkpointed, when a store is
+    given); an exception there counts as a failed attempt of that
+    shard.
 
     Every wave is a ``wave`` span on the active recorder; each charged
     attempt lands as an ``attempt`` event (outcome
     ``ok``/``error``/``corrupt``/``crash``/``timeout``), each scheduled
     retry as a ``retry`` event, and pool teardown/rebuild as ``pool``
-    events. ``scope`` labels those events (``"chunk"`` for sharded
-    sweeps, ``"experiment"`` for the registry's parallel ``run_all``).
+    events.
 
-    Returns ``(results, failures)``: a dict of postprocessed results
-    keyed by ``task.key``, and the tasks that exhausted every attempt.
-    Shared by :func:`run_sharded` and the experiment registry's
-    parallel ``run_all``.
+    Returns ``(results, failures)``: the verified chunk results keyed
+    by shard index, and the shards that exhausted every attempt.
     """
     recorder = active_recorder()
-    pending: list[tuple[_PoolTask, int]] = [(task, 1) for task in tasks]
-    results: dict[Any, Any] = {}
-    failures: list[_TaskFailure] = []
+    pending: list[tuple[Shard, int]] = [(shard, 1) for shard in shards]
+    results: dict[int, Any] = {}
+    failures: list[_ShardFailure] = []
 
     def charge(
-        task: _PoolTask,
+        shard: Shard,
         attempt: int,
         kind: str,
         message: str,
@@ -350,28 +347,26 @@ def _run_pool_tasks(
     ) -> None:
         recorder.event(
             "attempt",
-            scope=scope,
-            key=task.key,
-            stream=task.stream,
+            scope="chunk",
+            key=shard.index,
+            stream=shard.start,
             attempt=attempt,
             outcome=kind,
             error=message[:200],
         )
         if attempt < retry.max_attempts:
-            delay = retry.delay(task.stream, attempt)
+            delay = retry.delay(shard.start, attempt)
             recorder.event(
                 "retry",
-                scope=scope,
-                stream=task.stream,
+                scope="chunk",
+                stream=shard.start,
                 attempt=attempt,
                 delay_s=delay,
             )
             delays.append(delay)
-            pending.append((task, attempt + 1))
+            pending.append((shard, attempt + 1))
         else:
-            failures.append(
-                _TaskFailure(task.key, task.stream, attempt, kind, message, error)
-            )
+            failures.append(_ShardFailure(shard, attempt, kind, message, error))
 
     wave_index = 0
     while pending:
@@ -388,15 +383,18 @@ def _run_pool_tasks(
         with wave_span:
             pool = _pool_executor(
                 max_workers=min(workers, len(wave)),
-                initializer=initializer,
+                initializer=_worker_init,
                 initargs=initargs,
             )
             delays: list[float] = []
             abandoned = False
             try:
                 info = {}
-                for task, attempt in wave:
-                    info[pool.submit(task_fn, *task.args, attempt)] = (task, attempt)
+                for shard, attempt in wave:
+                    future = pool.submit(
+                        _worker_chunk, shard.start, shard.stop, attempt
+                    )
+                    info[future] = (shard, attempt)
                 outstanding = set(info)
                 first_running: dict[Any, float] = {}
                 while outstanding:
@@ -408,13 +406,17 @@ def _run_pool_tasks(
                     now = time.monotonic()
                     broken: "BaseException | None" = None
                     for future in done:
-                        task, attempt = info[future]
+                        shard, attempt = info[future]
                         try:
-                            value = future.result()
-                            value, worker_events = _split_envelope_events(value)
+                            value, worker_events = _split_envelope_events(
+                                future.result()
+                            )
                             recorder.record_worker_events(worker_events)
-                            if postprocess is not None:
-                                value = postprocess(task, value)
+                            value = _open_envelope(
+                                value, start=shard.start, stop=shard.stop
+                            )
+                            if checkpoint is not None:
+                                checkpoint.put(shard.start, shard.stop, value)
                         except concurrent.futures.BrokenExecutor as error:
                             # A dead worker poisons every unfinished future
                             # with the same exception; fold this one back in
@@ -428,19 +430,19 @@ def _run_pool_tasks(
                                 if isinstance(error, CorruptChunkError)
                                 else "error"
                             )
-                            charge(task, attempt, kind, str(error), error, delays)
+                            charge(shard, attempt, kind, str(error), error, delays)
                             continue
                         recorder.event(
                             "attempt",
-                            scope=scope,
-                            key=task.key,
-                            stream=task.stream,
+                            scope="chunk",
+                            key=shard.index,
+                            stream=shard.start,
                             attempt=attempt,
                             outcome="ok",
                         )
-                        results[task.key] = value
+                        results[shard.index] = value
                     if broken is not None:
-                        # Only tasks observed running can have killed the
+                        # Only shards observed running can have killed the
                         # worker; queued ones resubmit without losing an
                         # attempt. If the crash beat our first poll, charge
                         # everything unfinished rather than loop forever.
@@ -448,10 +450,10 @@ def _run_pool_tasks(
                         if not charged:
                             charged = set(outstanding)
                         for future in outstanding:
-                            task, attempt = info[future]
+                            shard, attempt = info[future]
                             if future in charged:
                                 charge(
-                                    task,
+                                    shard,
                                     attempt,
                                     "crash",
                                     f"worker process died ({broken})",
@@ -459,7 +461,7 @@ def _run_pool_tasks(
                                     delays,
                                 )
                             else:
-                                pending.append((task, attempt))
+                                pending.append((shard, attempt))
                         recorder.event("pool", op="abandon", reason="crash")
                         _abandon_pool(pool)
                         abandoned = True
@@ -479,10 +481,10 @@ def _run_pool_tasks(
                             # whole pool is forfeit; innocent bystanders
                             # resubmit uncharged in the next wave.
                             for future in outstanding:
-                                task, attempt = info[future]
+                                shard, attempt = info[future]
                                 if future in timed_out:
                                     charge(
-                                        task,
+                                        shard,
                                         attempt,
                                         "timeout",
                                         f"chunk ran past the {timeout:g}s "
@@ -491,7 +493,7 @@ def _run_pool_tasks(
                                         delays,
                                     )
                                 else:
-                                    pending.append((task, attempt))
+                                    pending.append((shard, attempt))
                             recorder.event("pool", op="abandon", reason="timeout")
                             _abandon_pool(pool)
                             abandoned = True
@@ -513,7 +515,7 @@ def _run_chunk_inline(
     *,
     retry: RetryPolicy,
     spec: "FaultSpec | None",
-) -> "tuple[Any, _TaskFailure | None]":
+) -> "tuple[Any, _ShardFailure | None]":
     """Run one chunk on the calling thread with the same retry budget."""
     recorder = active_recorder()
     last_error: "Exception | None" = None
@@ -567,35 +569,24 @@ def _run_chunk_inline(
                     delay_s=delay,
                 )
                 _sleep(delay)
-    failure = _TaskFailure(
-        key=shard.index,
-        stream=shard.start,
-        attempts=retry.max_attempts,
-        kind=kind,
-        message=str(last_error),
-        error=last_error,
+    return None, _ShardFailure(
+        shard, retry.max_attempts, kind, str(last_error), last_error
     )
-    return None, failure
 
 
-def _raise_exhausted(
-    shard: Shard, failure: _TaskFailure, retry: RetryPolicy
-) -> None:
-    """Surface an exhausted chunk under ``on_error="raise"``.
+def _raise_exhausted(failure: _ShardFailure, *, raw: bool) -> None:
+    """Surface an exhausted chunk.
 
-    With no retry budget armed the chunk's own exception propagates
-    raw, as ``run_sharded`` always raised before the fault-tolerance
-    layer existed; with retries in play, exhaustion is a structured
-    :class:`~repro.errors.ChunkFailedError` (crash and timeout
-    failures have no original exception and are always structured).
+    ``raw`` (set under ``on_error="raise"`` with no retry budget armed)
+    lets the chunk's own exception propagate, as ``run_sharded``
+    always raised before the fault-tolerance layer existed; otherwise
+    exhaustion is a structured :class:`~repro.errors.ChunkFailedError`
+    (timeout failures have no original exception and are always
+    structured).
     """
-    if retry.max_attempts == 1 and failure.error is not None:
+    if raw and failure.error is not None:
         raise failure.error
-    _raise_chunk_failed(shard, failure)
-
-
-def _raise_chunk_failed(shard: Shard, failure: _TaskFailure) -> None:
-    """Raise the structured exhaustion error for one failed shard."""
+    shard = failure.shard
     raise ChunkFailedError(
         f"chunk {shard.index} (scenarios [{shard.start}, {shard.stop})) "
         f"failed after {failure.attempts} attempt(s) [{failure.kind}]: "
@@ -606,18 +597,6 @@ def _raise_chunk_failed(shard: Shard, failure: _TaskFailure) -> None:
         attempts=failure.attempts,
         kind=failure.kind,
     ) from failure.error
-
-
-def _chunk_failure(shard: Shard, failure: _TaskFailure) -> ChunkFailure:
-    """Convert an engine failure into its report form."""
-    return ChunkFailure(
-        index=shard.index,
-        start=shard.start,
-        stop=shard.stop,
-        attempts=failure.attempts,
-        kind=failure.kind,
-        error=repr(failure.error) if failure.error is not None else failure.message,
-    )
 
 
 def run_sharded(
@@ -680,7 +659,6 @@ def run_sharded(
         spec = None
     name = kernel_name(kernel)
     shards = plan.shards()
-    shard_by_index = {shard.index: shard for shard in shards}
     use_checkpoint = checkpoint is not None and len(shards) > 1
     recorder = active_recorder()
 
@@ -701,7 +679,7 @@ def run_sharded(
                     continue
             to_run.append(shard)
 
-        failures: list[_TaskFailure] = []
+        failures: list[_ShardFailure] = []
         if jobs == 1 or (len(shards) == 1 and timeout is None):
             for shard in to_run:
                 chunk, failure = _run_chunk_inline(
@@ -713,60 +691,36 @@ def run_sharded(
                         checkpoint.put(shard.start, shard.stop, chunk)
                 else:
                     if on_error == "raise":
-                        _raise_exhausted(shard, failure, retry)
+                        _raise_exhausted(failure, raw=retry.max_attempts == 1)
                     failures.append(failure)
         elif to_run:
-            def postprocess(task: _PoolTask, raw: Any) -> Any:
-                shard = shard_by_index[task.key]
-                chunk = _open_envelope(raw, start=shard.start, stop=shard.stop)
-                if use_checkpoint:
-                    checkpoint.put(shard.start, shard.stop, chunk)
-                return chunk
-
-            tasks = [
-                _PoolTask(key=shard.index, stream=shard.start,
-                          args=(shard.start, shard.stop))
-                for shard in to_run
-            ]
             results, failures = _run_pool_tasks(
-                tasks,
-                task_fn=_worker_chunk,
+                to_run,
                 workers=min(jobs, len(to_run)),
                 retry=retry,
                 timeout=timeout,
-                initializer=_worker_init,
                 initargs=(name, payload, spec, recorder.enabled),
-                postprocess=postprocess,
+                checkpoint=checkpoint if use_checkpoint else None,
             )
             completed.update(results)
 
         if failures:
-            failures.sort(key=lambda failure: failure.key)
-            if on_error == "raise":
-                first = failures[0]
-                _raise_exhausted(shard_by_index[first.key], first, retry)
-            if not completed:
-                first = failures[0]
-                _raise_chunk_failed(shard_by_index[first.key], first)
+            failures.sort(key=lambda failure: failure.shard.index)
+            if on_error == "raise" or not completed:
+                _raise_exhausted(
+                    failures[0],
+                    raw=on_error == "raise" and retry.max_attempts == 1,
+                )
         if use_checkpoint and not failures:
             # complete() wipes the spec's whole namespace — catching
             # stale entries an earlier geometry left — where a
             # plan-shaped discard() only covers this run's ranges.
-            complete = getattr(checkpoint, "complete", None)
-            if complete is not None:
-                complete()
-            else:
-                checkpoint.discard(
-                    (shard.start, shard.stop) for shard in shards
-                )
+            checkpoint.complete()
         chunks = [completed[index] for index in sorted(completed)]
         result = chunks if combine is None else combine(chunks)
         if on_error == "skip":
             report = FailureReport(
-                failures=tuple(
-                    _chunk_failure(shard_by_index[failure.key], failure)
-                    for failure in failures
-                ),
+                failures=tuple(failure.report() for failure in failures),
                 num_chunks=len(shards),
             )
             return result, report

@@ -11,31 +11,38 @@ makes three accelerations safe:
   keyed by the driver digest *and* the whole-package source
   fingerprint) shared across processes and CLI invocations — pass
   ``cache_dir=`` to opt in, and
-* ``run_all(parallel=True)``, which fans the drivers out over a
-  process pool; each worker reads and writes the shared disk cache, so
-  a warm cache skips the pool entirely and a crashed run keeps every
-  completed result.
+* ``run_all(jobs=N)``, which runs the drivers the caches miss through
+  :func:`repro.exec.run_sharded`, one driver per chunk. Each driver
+  run persists itself to the shared disk cache, so a warm cache skips
+  the run entirely and a crashed run keeps every completed result.
 
-The parallel path rides the same wave-based fault-tolerant engine as
-:func:`repro.exec.run_sharded`: ``retries=`` re-runs drivers that
-raise or whose worker dies (deterministic seeded backoff), a per-run
-``timeout=`` bounds hung drivers, and ``on_error="skip"`` returns the
-results that completed instead of aborting the whole evaluation.
+``run_all`` takes the :class:`~repro.exec.ExecOptions` knobs, so its
+fault tolerance is the sweeps': ``retries=`` re-runs drivers that
+raise or whose worker dies (deterministic seeded backoff), a
+per-driver ``timeout=`` bounds hung drivers when ``jobs > 1``, and
+``on_error="skip"`` returns the results that completed instead of
+aborting the whole evaluation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import os
-import time
 from dataclasses import replace
 from types import ModuleType
-from typing import Callable
+from typing import Any, Callable
 
-from ..errors import ExperimentError
-from ..exec import ResultCache, RetryPolicy, cache_key, package_fingerprint
-from ..exec.runner import _PoolTask, _run_pool_tasks
+from ..errors import ChunkFailedError, ExperimentError
+from ..exec import (
+    ExecOptions,
+    ResultCache,
+    cache_key,
+    package_fingerprint,
+    run_sharded,
+    split_outcome,
+)
 from ..obs.recorder import active_recorder
 from .result import ExperimentResult
 
@@ -151,6 +158,35 @@ def _disk_key(experiment_id: str, fingerprint: str) -> str:
     return cache_key("experiment", experiment_id, fingerprint, package_fingerprint())
 
 
+def _lookup(
+    experiment_id: str,
+    fingerprint: str,
+    *,
+    cache: bool,
+    disk: "ResultCache | None",
+) -> "ExperimentResult | None":
+    """A caller-owned copy of the memory-then-disk cached result, if any.
+
+    A disk hit warms the memory cache when ``cache`` is on. A
+    wrong-typed disk entry (a foreign pickle under a colliding key) is
+    a miss, not an error.
+    """
+    recorder = active_recorder()
+    if cache:
+        entry = _RESULT_CACHE.get(experiment_id)
+        if entry is not None and entry[0] == fingerprint:
+            recorder.event("cache", scope="memory", op="hit")
+            return _copy_result(entry[1])
+        recorder.event("cache", scope="memory", op="miss")
+    if disk is not None:
+        value = disk.get(_disk_key(experiment_id, fingerprint))
+        if isinstance(value, ExperimentResult):
+            if cache:
+                _RESULT_CACHE[experiment_id] = (fingerprint, value)
+            return _copy_result(value)
+    return None
+
+
 def run_experiment(
     experiment_id: str,
     *,
@@ -172,180 +208,106 @@ def run_experiment(
         with recorder.span("experiment", id=experiment_id):
             return get_experiment(experiment_id)()
     fingerprint = _fingerprint(experiment_id)
-    if cache:
-        entry = _RESULT_CACHE.get(experiment_id)
-        if entry is not None and entry[0] == fingerprint:
-            recorder.event("cache", scope="memory", op="hit")
-            return _copy_result(entry[1])
-        recorder.event("cache", scope="memory", op="miss")
     disk = ResultCache(cache_dir) if cache_dir is not None else None
-    result: ExperimentResult | None = None
+    hit = _lookup(experiment_id, fingerprint, cache=cache, disk=disk)
+    if hit is not None:
+        return hit
+    with recorder.span("experiment", id=experiment_id):
+        result = get_experiment(experiment_id)()
     if disk is not None:
-        value = disk.get(_disk_key(experiment_id, fingerprint))
-        # A wrong-typed entry (foreign pickle under a colliding key) is
-        # a miss, not an error.
-        if isinstance(value, ExperimentResult):
-            result = value
-    if result is None:
-        with recorder.span("experiment", id=experiment_id):
-            result = get_experiment(experiment_id)()
-        if disk is not None:
-            disk.put(_disk_key(experiment_id, fingerprint), result)
+        disk.put(_disk_key(experiment_id, fingerprint), result)
     if cache:
         _RESULT_CACHE[experiment_id] = (fingerprint, result)
     return _copy_result(result)
 
 
-def _run_for_pool(
-    experiment_id: str, cache_dir: "str | None", attempt: int = 1
-) -> ExperimentResult:
-    """Pool task: one driver run (``attempt`` is engine bookkeeping)."""
-    return run_experiment(experiment_id, cache_dir=cache_dir)
+def _experiment_chunk(
+    payload: tuple, start: int, stop: int
+) -> list[tuple[str, ExperimentResult]]:
+    """Chunk kernel: ``(id, result)`` for the pending drivers ``[start, stop)``.
+
+    Module-level so pool workers can import it by name; the payload is
+    ``(pending ids, cache_dir)``. Each driver persists its result to the
+    disk cache as it finishes.
+    """
+    experiment_ids, cache_dir = payload
+    return [
+        (experiment_id, run_experiment(experiment_id, cache_dir=cache_dir))
+        for experiment_id in experiment_ids[start:stop]
+    ]
 
 
 def run_all(
     *,
-    parallel: bool = False,
-    max_workers: int | None = None,
     cache: bool = True,
     cache_dir: "str | os.PathLike[str] | None" = None,
-    retries: "RetryPolicy | int | None" = None,
-    timeout: "float | None" = None,
-    on_error: str = "raise",
+    **options: Any,
 ) -> dict[str, ExperimentResult]:
     """Run the entire evaluation, in registry order.
 
-    ``parallel=True`` distributes the drivers over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers``
-    caps the pool; default: one per pending driver up to the CPU
-    count); results come back in registry order regardless of
-    completion order, and cached entries skip the pool entirely.
-    ``cache_dir`` shares an on-disk cache across the pool's worker
-    processes and across CLI invocations: warm entries skip the pool,
-    and every freshly computed result is persisted by the worker that
-    produced it.
+    Drivers found in the in-process cache (``cache=True``) or the disk
+    cache at ``cache_dir`` are served from it; the rest run through
+    :func:`repro.exec.run_sharded`, one driver per chunk unless
+    ``chunk_size`` says otherwise. ``options`` are the
+    :class:`~repro.exec.ExecOptions` knobs, validated before any cache
+    lookup: ``jobs > 1`` runs the drivers over a process pool (results
+    still come back in registry order), ``retries`` re-runs drivers
+    that raise or whose worker dies, ``timeout`` bounds each driver
+    when ``jobs > 1``, and ``on_error="skip"`` returns whatever
+    completed — missing ids in the returned mapping name the drivers
+    that exhausted their attempts. Fault rules match a driver's index
+    among the pending drivers.
 
-    Fault tolerance mirrors :func:`repro.exec.run_sharded`:
-    ``retries`` re-runs drivers that raise or whose worker dies, the
-    per-driver ``timeout`` (parallel mode only — sequential drivers
-    run on the calling thread and cannot be cancelled) bounds hangs,
-    and ``on_error="skip"`` returns whatever completed — missing ids
-    in the returned mapping name the drivers that exhausted their
-    attempts.
+    Under ``on_error="raise"`` an exhausted driver raises an
+    :class:`~repro.errors.ExperimentError` naming its id; with no retry
+    budget the driver's own exception propagates unchanged, as in
+    every sharded runner.
     """
+    options.setdefault("chunk_size", 1)
+    on_error = ExecOptions(**options).on_error
     disk = ResultCache(cache_dir) if cache_dir is not None else None
     results: dict[str, ExperimentResult] = {}
     pending: list[str] = []
     for experiment_id in EXPERIMENT_IDS:
-        fingerprint = (
-            _fingerprint(experiment_id) if cache or disk is not None else ""
-        )
-        if cache:
-            entry = _RESULT_CACHE.get(experiment_id)
-            if entry is not None and entry[0] == fingerprint:
-                active_recorder().event("cache", scope="memory", op="hit")
-                results[experiment_id] = _copy_result(entry[1])
-                continue
-        if disk is not None:
-            value = disk.get(_disk_key(experiment_id, fingerprint))
-            if isinstance(value, ExperimentResult):
-                if cache:
-                    _RESULT_CACHE[experiment_id] = (fingerprint, value)
-                    value = _copy_result(value)
-                results[experiment_id] = value
+        if cache or disk is not None:
+            hit = _lookup(
+                experiment_id,
+                _fingerprint(experiment_id),
+                cache=cache,
+                disk=disk,
+            )
+            if hit is not None:
+                results[experiment_id] = hit
                 continue
         pending.append(experiment_id)
 
-    if max_workers is not None and max_workers <= 0:
-        raise ExperimentError(
-            f"max_workers must be positive, got {max_workers}"
-        )
-    if on_error not in ("raise", "skip"):
-        raise ExperimentError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
-        )
-    if timeout is not None and not parallel:
-        raise ExperimentError(
-            "a per-driver timeout needs parallel=True: sequential drivers "
-            "run on the calling thread and cannot be cancelled"
-        )
-    retry = RetryPolicy.coerce(retries)
-    cache_dir_arg = os.fspath(cache_dir) if cache_dir is not None else None
     if pending:
-        if parallel:
-            workers = (
-                max_workers
-                if max_workers is not None
-                else min(len(pending), os.cpu_count() or 1)
+        payload = (
+            tuple(pending),
+            os.fspath(cache_dir) if cache_dir is not None else None,
+        )
+        try:
+            outcome = run_sharded(
+                _experiment_chunk, payload, len(pending), **options
             )
-            tasks = [
-                _PoolTask(
-                    key=experiment_id, stream=index, args=(experiment_id, cache_dir_arg)
-                )
-                for index, experiment_id in enumerate(pending)
-            ]
-            completed, failures = _run_pool_tasks(
-                tasks,
-                task_fn=_run_for_pool,
-                workers=min(workers, len(tasks)),
-                retry=retry,
-                timeout=timeout,
-                scope="experiment",
-            )
-            if failures and on_error == "raise":
-                order = {
-                    experiment_id: index
-                    for index, experiment_id in enumerate(pending)
-                }
-                first = min(failures, key=lambda failure: order[failure.key])
+        except ChunkFailedError as error:
+            if on_error == "raise":
+                failed = ", ".join(map(repr, pending[error.start:error.stop]))
                 raise ExperimentError(
-                    f"experiment {first.key!r} failed after {first.attempts} "
-                    f"attempt(s) [{first.kind}]: {first.message}"
-                ) from first.error
-            failed = {failure.key for failure in failures}
-            pending = [
-                experiment_id
-                for experiment_id in pending
-                if experiment_id not in failed
-            ]
-            for experiment_id in pending:
-                results[experiment_id] = completed[experiment_id]
+                    f"experiment {failed} failed: {error}"
+                ) from error
+            chunks = []  # skip mode raises only when no driver completed
         else:
-            completed_ids = []
-            for index, experiment_id in enumerate(pending):
-                last_error: "Exception | None" = None
-                for attempt in range(1, retry.max_attempts + 1):
-                    try:
-                        results[experiment_id] = run_experiment(
-                            experiment_id, cache_dir=cache_dir
-                        )
-                        last_error = None
-                        break
-                    except Exception as error:
-                        last_error = error
-                        if attempt < retry.max_attempts:
-                            time.sleep(retry.delay(index, attempt))
-                if last_error is not None:
-                    if on_error == "raise":
-                        if retry.max_attempts == 1:
-                            # No retry budget: surface the driver's own
-                            # exception, as run_all always has.
-                            raise last_error
-                        raise ExperimentError(
-                            f"experiment {experiment_id!r} failed after "
-                            f"{retry.max_attempts} attempt(s): {last_error}"
-                        ) from last_error
-                    continue
-                completed_ids.append(experiment_id)
-            pending = completed_ids
-        if cache:
-            for experiment_id in pending:
+            chunks, _ = split_outcome(outcome, on_error)
+        for experiment_id, result in itertools.chain.from_iterable(chunks):
+            if cache:
                 _RESULT_CACHE[experiment_id] = (
                     _fingerprint(experiment_id),
-                    results[experiment_id],
+                    result,
                 )
                 # Hand the caller a copy so the cached entry stays clean.
-                results[experiment_id] = _copy_result(results[experiment_id])
+                result = _copy_result(result)
+            results[experiment_id] = result
 
     return {
         experiment_id: results[experiment_id]

@@ -16,6 +16,7 @@ from .runner import (
     SWEEPS,
     SweepSpec,
     apply_overrides,
+    cached_sweep,
     fleet_scenario_frame,
     fleet_scenario_parameters,
     run_sweep,
@@ -43,4 +44,5 @@ __all__ = [
     "sweep_names",
     "run_sweep",
     "run_uncertain_sweep",
+    "cached_sweep",
 ]

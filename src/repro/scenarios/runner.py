@@ -20,6 +20,11 @@ results are element-identical to monolithic runs for any chunk/job
 configuration (``tests/test_sharded_equivalence.py``). Under
 ``on_error="skip"`` a runner returns ``(result, FailureReport)``;
 :func:`repro.exec.split_outcome` unpacks it.
+
+:func:`cached_sweep` is how both front ends (``repro sweep`` and
+``repro serve``) run a named sweep through the shared
+:class:`~repro.exec.ResultCache`: one spec, one key, one checkpoint
+namespace, and a result is cached only when no chunk failed.
 """
 
 from __future__ import annotations
@@ -46,7 +51,15 @@ from ..datacenter.heterogeneity import (
     provision_homogeneous_batch,
 )
 from ..errors import SimulationError
-from ..exec import run_sharded, split_outcome
+from ..exec import (
+    CheckpointStore,
+    FailureReport,
+    ResultCache,
+    cache_key,
+    package_fingerprint,
+    run_sharded,
+    split_outcome,
+)
 from ..obs.recorder import active_recorder
 from ..tabular import Table
 from ..units import CarbonIntensity
@@ -65,6 +78,7 @@ __all__ = [
     "sweep_names",
     "run_sweep",
     "run_uncertain_sweep",
+    "cached_sweep",
 ]
 
 
@@ -675,3 +689,62 @@ def run_uncertain_sweep(
         if scenarios is not None:
             span.note(rows=scenarios * outcome.draws)
         return result
+
+
+def cached_sweep(
+    name: str,
+    draws: "int | None" = None,
+    seed: int = 0,
+    *,
+    cache: "ResultCache | None" = None,
+    resume: bool = False,
+    **options: Any,
+) -> "tuple[Any, FailureReport | None, bool]":
+    """Run one named sweep through the shared result cache.
+
+    The one place that decides how a named sweep is keyed,
+    checkpointed and cached. Its spec parts — ``("sweep", name,
+    "point")``, or ``("sweep", name, draws, seed)`` with ``draws`` —
+    are both the cache key (with :func:`~repro.exec.package_fingerprint`
+    folded in) and the checkpoint namespace. ``jobs``/``chunk_size``
+    are not part of either: sharded sweeps are bit-identical to
+    monolithic ones, so any parallelism level warm-starts every other.
+
+    With a ``cache``, a hit of the right type (a
+    :class:`~repro.tabular.Table`, or an
+    :class:`~repro.uncertainty.UncertainResult` with ``draws``) is
+    returned as is; on a miss the sweep runs with a
+    :class:`~repro.exec.CheckpointStore` under ``cache.directory``
+    (``resume`` serves an interrupted run's finished chunks), and its
+    result is cached only when no chunk failed. ``options`` are the
+    :class:`~repro.exec.ExecOptions` knobs.
+
+    Returns ``(result, report, cached)``: the table or uncertain
+    result, the :class:`~repro.exec.FailureReport` of a run under
+    ``on_error="skip"`` (``None`` under ``"raise"`` and on a hit), and
+    whether the result came from the cache.
+    """
+    from ..uncertainty import UncertainResult
+
+    if draws is None:
+        parts: "tuple[Any, ...]" = ("sweep", name, "point")
+        expected: type = Table
+    else:
+        parts, expected = ("sweep", name, draws, seed), UncertainResult
+    if cache is not None:
+        key = cache_key(*parts, package_fingerprint())
+        value = cache.get(key)
+        if isinstance(value, expected):
+            return value, None, True
+        options["checkpoint"] = CheckpointStore(
+            cache.directory, spec_parts=parts, consume=resume
+        )
+    if draws is None:
+        outcome = run_sweep(name, **options)
+    else:
+        outcome = run_uncertain_sweep(name, draws, seed, **options)
+    result, report = split_outcome(outcome, options.get("on_error", "raise"))
+    # A partial result must never be served as the sweep's result.
+    if cache is not None and not report:
+        cache.put(key, result)
+    return result, report, False

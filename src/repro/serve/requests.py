@@ -62,8 +62,12 @@ KINDS = ("scenario", "portfolio", "sweep")
 #: Point-evaluation kinds: no cache or checkpoint I/O, one kernel call.
 CELL_KINDS = ("scenario", "portfolio")
 
-#: Cache-miss sentinel: cached sweep results may legitimately be falsy.
-_MISS = object()
+#: The longest horizon a scenario request may simulate, in years. A
+#: cell's ``years`` sets its renewable schedule's width and the fleet
+#: kernel's per-year loop, so one request must not stretch either for
+#: its whole batch; a century is far past any fleet's planning horizon
+#: (the Facebook-like preset's ramp spans 6 years).
+MAX_SCENARIO_YEARS = 100
 
 #: What building a request's cells raises for a bad override value: a
 #: broken parameter rule, or a value of the wrong type meeting a
@@ -221,8 +225,10 @@ def parse_request(kind: str, body: Any) -> Request:
                     f"'draws' must be a positive integer, got {draws!r}"
                 )
         seed = body.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ServiceError(f"'seed' must be an integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ServiceError(
+                f"'seed' must be a non-negative integer, got {seed!r}"
+            )
         return Request(
             kind="sweep", sweep_name=name, draws=draws, seed=seed,
             deadline_s=deadline,
@@ -236,7 +242,8 @@ def validate_overrides(request: Request) -> None:
     """Reject a cell request's bad overrides at admission, not in a batch.
 
     A coalesced batch shares one kernel call, so one client's bad value
-    must not reach it. A scenario request's cell is built from the
+    must not reach it. A scenario request's ``years`` may not pass
+    :data:`MAX_SCENARIO_YEARS`, and its cell is built from the
     cached base by the same
     :func:`~repro.scenarios.runner.fleet_scenario_frame` call its batch
     makes; a portfolio request's cell runs the kernel's own parameter
@@ -251,6 +258,12 @@ def validate_overrides(request: Request) -> None:
         if request.kind == "scenario":
             from ..scenarios.runner import fleet_scenario_frame
 
+            years = request.override_mapping.get("years")
+            if isinstance(years, numbers.Real) and years > MAX_SCENARIO_YEARS:
+                raise ServiceError(
+                    f"years = {years!r} is past the service horizon of "
+                    f"{MAX_SCENARIO_YEARS} years"
+                )
             fleet_scenario_frame(
                 bases.fleet, bases.frame, [request.override_mapping]
             )
@@ -363,53 +376,23 @@ def _execute_portfolio(
 
 
 def _execute_sweep(
-    requests: Sequence[Request],
-    options: Mapping[str, Any],
-    cache: Any,
-    checkpoint_factory: Any,
+    requests: Sequence[Request], options: Mapping[str, Any], cache: Any
 ) -> list[Response]:
     """One named-sweep execution answering every coalesced duplicate.
 
-    Mirrors the ``repro sweep`` CLI's cache discipline: the key folds
-    in the sweep name, mode, and :func:`package_fingerprint`; partial
-    (degraded) results are never cached.
+    Runs through :func:`~repro.scenarios.runner.cached_sweep`, the
+    ``repro sweep`` CLI's own call, so both front ends share one cache
+    key, one checkpoint namespace (an interrupted run always resumes)
+    and one rule: a result is cached only when no chunk failed.
     """
-    from ..exec.cache import cache_key, package_fingerprint
-    from ..scenarios.runner import run_sweep, run_uncertain_sweep
+    from ..scenarios.runner import cached_sweep
 
     spec = requests[0]
-    if spec.draws is None:
-        key = cache_key("sweep", spec.sweep_name, "point", package_fingerprint())
-    else:
-        key = cache_key(
-            "sweep", spec.sweep_name, spec.draws, spec.seed,
-            package_fingerprint(),
-        )
-    cached = False
-    report = None
-    outcome = None
-    if cache is not None:
-        value = cache.get(key, _MISS)
-        if value is not _MISS:
-            outcome, cached = value, True
-    if outcome is None:
-        forwarded = dict(options)
-        if cache is not None and checkpoint_factory is not None:
-            forwarded["checkpoint"] = checkpoint_factory(spec)
-        if spec.draws is None:
-            result = run_sweep(spec.sweep_name, **forwarded)
-        else:
-            result = run_uncertain_sweep(
-                spec.sweep_name, spec.draws, spec.seed, **forwarded
-            )
-        outcome, report = split_outcome(
-            result, options.get("on_error", "raise")
-        )
-        if cache is not None and report is None:
-            cache.put(key, outcome)
-    table = (
-        outcome if isinstance(outcome, Table) else outcome.quantile_table()
+    result, report, cached = cached_sweep(
+        spec.sweep_name, spec.draws, spec.seed, cache=cache, resume=True,
+        **options,
     )
+    table = result if isinstance(result, Table) else result.quantile_table()
     rows = _rows(table, table.column_names)
     return [
         _ok_response(
@@ -466,16 +449,14 @@ def execute_group(
     *,
     options: Mapping[str, Any],
     cache: Any = None,
-    checkpoint_factory: Any = None,
 ) -> list[Response]:
     """Answer one coalesced batch (equal group keys) with one kernel call.
 
     ``options`` are :class:`repro.exec.ExecOptions` keywords (``jobs``,
     ``chunk_size``, ``retries``, ``timeout``, ``on_error``), passed to
-    the kernels as given; ``cache``
-    is the shared :class:`~repro.exec.ResultCache` for sweep requests
-    and ``checkpoint_factory(request)`` builds their
-    :class:`~repro.exec.CheckpointStore`. Returns one
+    the kernels as given; ``cache`` is the shared
+    :class:`~repro.exec.ResultCache` for sweep requests, which also
+    holds their chunk checkpoints. Returns one
     :class:`Response` per request, in request order. Raises whatever
     the kernels raise — the service layer owns translating failures
     into degraded retries or error responses.
@@ -489,4 +470,4 @@ def execute_group(
         return _execute_scenarios(requests, options)
     if kind == "portfolio":
         return _execute_portfolio(requests, options)
-    return _execute_sweep(requests, options, cache, checkpoint_factory)
+    return _execute_sweep(requests, options, cache)

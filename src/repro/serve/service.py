@@ -317,12 +317,7 @@ class SweepService:
         def run() -> list[Response]:
             began = time.perf_counter()
             responses = execute_group(
-                list(requests),
-                options=options,
-                cache=self._cache,
-                checkpoint_factory=(
-                    self._checkpoint_factory if self._cache is not None else None
-                ),
+                list(requests), options=options, cache=self._cache
             )
             self._cost_s[kind] = (time.perf_counter() - began) / len(requests)
             return responses
@@ -337,20 +332,6 @@ class SweepService:
         ):
             return run()
         return await loop.run_in_executor(None, run)
-
-    def _checkpoint_factory(self, request: Request) -> Any:
-        """A consume-mode checkpoint store for one sweep request."""
-        from ..exec.checkpoint import CheckpointStore
-
-        if request.draws is None:
-            spec_parts: "tuple[Any, ...]" = ("sweep", request.sweep_name, "point")
-        else:
-            spec_parts = (
-                "sweep", request.sweep_name, request.draws, request.seed,
-            )
-        return CheckpointStore(
-            self.config.cache_dir, spec_parts=spec_parts, consume=True
-        )
 
     async def _execute_batch(
         self,

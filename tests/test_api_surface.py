@@ -106,6 +106,7 @@ def test_version_has_one_source():
 #: ``**options``. ``repro.serve`` is left out: ``ServeConfig`` keeps its
 #: deployment field names (``jobs``, ``chunk_size``, ``retries``).
 _OPTION_PACKAGES = (
+    "repro.experiments",
     "repro.scenarios",
     "repro.uncertainty",
     "repro.portfolio",
@@ -153,6 +154,7 @@ def test_no_public_function_redeclares_an_execution_knob(module_name):
 def _runner_calls() -> dict:
     """One cheap valid call per sharded runner, taking extra keywords."""
     from repro.analysis.uncertainty import Normal
+    from repro.experiments import run_all
     from repro.portfolio import (
         default_catalog,
         sweep_portfolio,
@@ -205,6 +207,7 @@ def _runner_calls() -> dict:
         "evaluate_policies": lambda **kw: evaluate_policies(
             profile_catalog(48), canonical_workloads(), capacity_kw=2500.0, **kw
         ),
+        "run_all": run_all,
     }
 
 
@@ -220,6 +223,7 @@ _RUNNERS = (
     "sweep_portfolio",
     "sweep_portfolio_uncertain",
     "evaluate_policies",
+    "run_all",
 )
 
 

@@ -86,7 +86,7 @@ class TestCLI:
         from repro.experiments import clear_result_cache
 
         clear_result_cache()
-        assert main(["run", "all", "--parallel", "--jobs", "2"]) == 0
+        assert main(["run", "all", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") >= 20
 
@@ -218,12 +218,12 @@ class TestRegistryMetadata:
         assert all(titles.values())
 
     def test_non_positive_worker_counts_rejected(self):
-        from repro.errors import ExperimentError
+        from repro.errors import ExecutionError
         from repro.experiments import run_all
 
         for jobs in (0, -1):
-            with pytest.raises(ExperimentError):
-                run_all(parallel=True, max_workers=jobs)
+            with pytest.raises(ExecutionError, match="job count must be positive"):
+                run_all(jobs=jobs)
 
     def test_result_cache_hits_and_isolation(self):
         from repro.experiments import clear_result_cache

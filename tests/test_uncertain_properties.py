@@ -5,7 +5,7 @@ quantiles must be monotone in the percentile, zero-variance
 distributions must collapse the bands onto the deterministic sweep
 *exactly*, and the per-scenario seeding must make draws reproducible
 and independent of how a sweep is partitioned (the property that makes
-``--parallel`` evaluation and scenario subsetting safe).
+sharded ``--jobs`` evaluation and scenario subsetting safe).
 """
 
 from __future__ import annotations
