@@ -16,8 +16,7 @@ noise on a ~60ms body cannot flake the suite.
 
 from __future__ import annotations
 
-import time
-
+from _timing import best_of_alternating
 from repro.obs import TraceRecorder, install_recorder
 from repro.scenarios import ScenarioGrid, facebook_like_fleet, sweep_fleet
 
@@ -55,21 +54,6 @@ def test_bench_fleet_sweep_1k_traced(benchmark, tmp_path):
     assert table.num_rows == 1000
 
 
-def _best_of_alternating(plain, instrumented, rounds: int) -> "tuple[float, float]":
-    """Min-of-``rounds`` timings of both calls, run plain/instrumented in turn.
-
-    Alternating the rounds (ABAB...) means a burst of host contention
-    lands on both sides instead of on whichever block it overlapped.
-    """
-    best = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for side, call in enumerate((plain, instrumented)):
-            start = time.perf_counter()
-            call()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[0], best[1]
-
-
 def test_gate_tracing_overhead(tmp_path):
     """The acceptance gate: traced <= 1.05x untraced (plus 5ms noise).
 
@@ -82,7 +66,7 @@ def test_gate_tracing_overhead(tmp_path):
     base = facebook_like_fleet()
     # Warm imports/kernels before timing either side.
     sweep_fleet(base, _GRID_1K, chunk_size=_CHUNK)
-    untraced, traced = _best_of_alternating(
+    untraced, traced = best_of_alternating(
         lambda: sweep_fleet(base, _GRID_1K, chunk_size=_CHUNK),
         lambda: _traced_sweep(base, tmp_path / "gate.jsonl"),
         rounds=5,

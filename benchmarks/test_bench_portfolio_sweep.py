@@ -15,6 +15,9 @@ sides; ``test_bench_portfolio_throughput_gate`` enforces it directly
 comparison alone cannot). ``test_bench_portfolio_chunked_rss_gate``
 holds ``chunk_size`` to its promise as the memory bound: chunks reduce
 to per-cell partials, so the sweep never holds the 6.4M-row detail.
+``test_bench_portfolio_distinct_columns_gate`` holds the kernel to
+pricing each stage on the distinct columns it reads: the cartesian grid
+must cost well under a zipped set of as many cells with none shared.
 """
 
 import dataclasses
@@ -24,12 +27,13 @@ import sys
 import time
 from pathlib import Path
 
+from _timing import best_of_alternating
 from repro.portfolio import (
     default_catalog,
     simulate_device,
     sweep_portfolio,
 )
-from repro.scenarios import ScenarioGrid
+from repro.scenarios import ScenarioGrid, ScenarioSet
 
 _GRID = ScenarioGrid(
     **{
@@ -37,6 +41,14 @@ _GRID = ScenarioGrid(
         "fab_intensity_g_per_kwh": [583.0, 400.0, 250.0, 100.0],
         "lifetime_scale": [1.0, 1.1, 1.25, 1.5],
     }
+)
+
+#: 64 cells in which no stage shares a column: every record has its own
+#: fab intensity and lifetime scale (``node_shift`` cycles as in _GRID).
+_ZIPPED = ScenarioSet.zipped(
+    node_shift=[float(index % 4) for index in range(64)],
+    fab_intensity_g_per_kwh=[100.0 + 7.5 * index for index in range(64)],
+    lifetime_scale=[1.0 + index / 128.0 for index in range(64)],
 )
 
 _COPIES = 12_500  # x 8 archetypes = 100k devices
@@ -115,6 +127,28 @@ def test_bench_portfolio_throughput_gate():
     assert speedup >= 10.0, (
         f"batched sweep only {speedup:.1f}x faster per row "
         f"({batch_per_row * 1e6:.2f}us vs {scalar_per_row * 1e6:.2f}us)"
+    )
+
+
+def test_bench_portfolio_distinct_columns_gate():
+    """The 4x4x4 grid costs <= 0.7x a zipped set with no shared columns.
+
+    Both sweep 20k devices over 64 cells. The grid's fab and yield stage
+    reads 16 distinct columns and its lifetime stage 4; the zipped set
+    gives every stage 64. A kernel that prices all 64 cells per stage
+    runs both at about the same cost.
+    """
+    catalog = _fleet(2_500)
+    assert len(_GRID) == len(_ZIPPED) == 64
+    sweep_portfolio(catalog, _GRID)  # warm imports and allocator
+    grid_s, zipped_s = best_of_alternating(
+        lambda: sweep_portfolio(catalog, _GRID),
+        lambda: sweep_portfolio(catalog, _ZIPPED),
+        rounds=3,
+    )
+    assert grid_s <= 0.7 * zipped_s, (
+        f"4x4x4 grid sweep {grid_s:.3f}s vs zipped {zipped_s:.3f}s "
+        f"({grid_s / zipped_s:.2f}x); gate is 0.7x"
     )
 
 

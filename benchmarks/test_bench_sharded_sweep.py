@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from _timing import best_of_alternating
 from repro.analysis.uncertainty import Normal, Triangular
 from repro.scenarios import ScenarioGrid, facebook_like_fleet, sweep_fleet
 from repro.uncertainty import sweep_fleet_uncertain
@@ -118,21 +119,6 @@ def _best_of(call, rounds: int) -> float:
     return best
 
 
-def _best_of_alternating(plain, instrumented, rounds: int) -> "tuple[float, float]":
-    """Min-of-``rounds`` timings of both calls, run plain/instrumented in turn.
-
-    Alternating the rounds (ABAB...) means a burst of host contention
-    lands on both sides instead of on whichever block it overlapped.
-    """
-    best = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for side, call in enumerate((plain, instrumented)):
-            start = time.perf_counter()
-            call()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[0], best[1]
-
-
 @pytest.mark.skipif(
     _CORES < 4,
     reason=f"speedup gate needs >= 4 cores, machine has {_CORES}",
@@ -162,7 +148,7 @@ def test_gate_retry_overhead_on_clean_path():
     base = facebook_like_fleet()
     # Warm imports/kernels before timing either side.
     sweep_fleet(base, _GRID_1K, chunk_size=128)
-    plain, armed = _best_of_alternating(
+    plain, armed = best_of_alternating(
         lambda: sweep_fleet(base, _GRID_1K, chunk_size=128),
         lambda: sweep_fleet(base, _GRID_1K, chunk_size=128, retries=2),
         rounds=3,

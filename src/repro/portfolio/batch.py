@@ -10,9 +10,11 @@ of a batch result is bit-identical to the corresponding scalar call.
 ``tests/test_portfolio_batch_equivalence.py`` pins that contract.
 
 Parameters are laid out as broadcastable 2-D arrays: device-varying
-columns are ``(devices, 1)``, scenario-varying overrides are
-``(1, cells)``, and every elementwise kernel broadcast lands on
-``(devices, cells)`` without materializing per-cell dataclasses.
+columns are ``(devices, 1)`` and scenario-varying overrides are
+``(1, cells)``. Each stage of the model runs on the *distinct columns*
+of the scenario fields it reads (:class:`_ColumnLayout`), so a
+4 × 4 × 4 grid prices fab and yield on 16 columns and lifetime on 4,
+and only quantities that combine stages are gathered wider.
 """
 
 from __future__ import annotations
@@ -307,42 +309,182 @@ def check_scenario_cells(
     _validate_params(params, names, scenario_fields, fields=scenario_fields)
 
 
-def _metrics(
-    params: Mapping[str, np.ndarray],
-    node_axis: np.ndarray,
-    murphy_mask: np.ndarray,
-    names: Sequence[str],
-    scenario_fields: "set[str]",
-) -> "dict[str, np.ndarray]":
-    """Per-(device, cell) metric arrays, mirroring the scalar reference.
+#: The fields each stage of :func:`_metrics` reads.
+_FAB_FIELDS = frozenset({
+    "node",
+    "node_shift",
+    "defect_density_scale",
+    "wafer_diameter_mm",
+    "fab_intensity_g_per_kwh",
+    "abatement_coverage",
+    "abatement_efficiency",
+    "die_area_mm2",
+    "non_ic_kg",
+})
+_USE_FIELDS = frozenset({
+    "active_hours_per_day",
+    "active_power_w",
+    "standby_power_w",
+    "charge_efficiency",
+    "use_intensity_g_per_kwh",
+})
+_LIFETIME_FIELDS = frozenset({"lifetime_years", "lifetime_scale"})
+_REPLACEMENT_FIELDS = frozenset({"replacement_cycle_years"})
 
-    Every expression replicates ``simulate_device``'s float operations
-    in the same order and grouping — including the quantity types' unit
-    round-trips — so elements are bit-identical to scalar calls.
+#: Unions of stage fields: a combined quantity lives on the distinct
+#: columns of every field its inputs read.
+_USE_LIFE_FIELDS = _USE_FIELDS | _LIFETIME_FIELDS
+_BREAK_EVEN_FIELDS = _FAB_FIELDS | _USE_FIELDS
+_TOTAL_FIELDS = _FAB_FIELDS | _USE_LIFE_FIELDS
+_FAB_REPLACEMENT_FIELDS = _FAB_FIELDS | _REPLACEMENT_FIELDS
+_ANNUAL_FIELDS = _TOTAL_FIELDS | _REPLACEMENT_FIELDS
+
+#: The fields each checked or reduced :func:`_metrics` array reads, so
+#: the columns it holds.
+_METRIC_FIELDS = {
+    "embodied_kg": _FAB_FIELDS,
+    "use_kg": _USE_LIFE_FIELDS,
+    "total_kg": _TOTAL_FIELDS,
+    "break_even_days": _BREAK_EVEN_FIELDS,
+    "annual_kg": _ANNUAL_FIELDS,
+}
+
+
+class _ColumnLayout:
+    """The distinct scenario columns of a parameter grid, per field set.
+
+    A stage that reads fields ``F`` is evaluated once per distinct
+    column of the scenario fields in ``F`` (all cells share one column
+    when ``F`` holds none). :meth:`columns` returns ``(first,
+    inverse)``: the first cell of each distinct column, in order of
+    appearance, and the column of every cell. Columns are keyed on the
+    values' ``uint64`` bit patterns, so ``-0.0`` never merges with
+    ``0.0``, and each element of a stage comes from the same float
+    operations on the same inputs as in the full ``(devices, cells)``
+    broadcast.
     """
-    _validate_params(params, names, scenario_fields)
 
+    def __init__(
+        self,
+        params: Mapping[str, np.ndarray],
+        node_axis: np.ndarray,
+        scenario_fields: "set[str]",
+    ) -> None:
+        self._params = {**params, "node": node_axis}
+        self._keys = {
+            name: self._params[name].reshape(-1).view(np.uint64)
+            for name in scenario_fields
+        }
+        self._varying = frozenset(scenario_fields)
+        self.count = max(map(len, self._keys.values()), default=1)
+        self._memo: "dict[frozenset, tuple]" = {}
+
+    def columns(self, fields: frozenset) -> tuple:
+        """``(first, inverse)`` of the distinct columns ``fields`` read."""
+        varying = self._varying & fields
+        if varying not in self._memo:
+            self._memo[varying] = self._distinct(sorted(varying))
+        return self._memo[varying]
+
+    def _distinct(self, varying: "list[str]") -> tuple:
+        if not varying or self.count == 1:
+            return np.zeros(1, np.intp), np.zeros(self.count, np.intp)
+        keys = zip(*(self._keys[name].tolist() for name in varying))
+        columns: dict = {}
+        first, inverse = [], []
+        for cell, key in enumerate(keys):
+            if key not in columns:
+                columns[key] = len(first)
+                first.append(cell)
+            inverse.append(columns[key])
+        return np.array(first, np.intp), np.array(inverse, np.intp)
+
+    def reader(self, fields: frozenset) -> Any:
+        """``read(name)``: parameter ``name`` on the columns of ``fields``."""
+        first, _ = self.columns(fields)
+        gather = len(first) < self.count
+
+        def read(name: str) -> np.ndarray:
+            value = self._params[name]
+            return value[:, first] if gather and name in self._keys else value
+
+        return read
+
+    def lift(
+        self,
+        values: np.ndarray,
+        source: frozenset,
+        target: frozenset,
+    ) -> np.ndarray:
+        """``values`` on the columns of ``source``, gathered onto ``target``'s.
+
+        ``target`` holds every field of ``source``, so its columns refine
+        the source's: equal column counts mean equal columns in equal
+        order, and a single source column broadcasts.
+        """
+        if values.shape[1] == 1:
+            return values
+        first, _ = self.columns(target)
+        if values.shape[1] == len(first):
+            return values
+        return values[:, self.columns(source)[1][first]]
+
+    def spread(
+        self, values: np.ndarray, fields: frozenset, rows: int
+    ) -> np.ndarray:
+        """``values`` on the columns of ``fields``, as ``(rows, cells)``.
+
+        A single column (the values read no varying field of ``fields``)
+        broadcasts to every cell.
+        """
+        if values.shape[1] > 1:
+            values = values[:, self.columns(fields)[1]]
+        return np.broadcast_to(values, (rows, self.count))
+
+
+def _check_finite(
+    layout: _ColumnLayout,
+    metrics: Mapping[str, np.ndarray],
+    names: Sequence[str],
+) -> None:
+    """Raise for the first non-finite total, break-even or annual cell."""
+    for metric in ("total_kg", "break_even_days", "annual_kg"):
+        finite = np.isfinite(metrics[metric])
+        if not finite.all():
+            full = layout.spread(~finite, _METRIC_FIELDS[metric], len(names))
+            device, cell = (int(index) for index in np.argwhere(full)[0])
+            raise SimulationError(
+                f"device {names[device]!r}: metric {metric!r} is non-finite "
+                f"at scenario cell {cell}"
+            )
+
+
+def _wafer_stage(fab: Any, murphy_mask: np.ndarray) -> tuple:
+    """``(node index, wafer grams, good dies per wafer)`` on fab columns.
+
+    ``fab(name)`` reads a parameter on the fab stage's columns. The
+    per-wafer temporaries die with this frame, before wider arrays are
+    built.
+    """
     # Node resolution: clamped roadmap shift, then coefficient gathers.
     resolved = np.clip(
-        node_axis + params["node_shift"], 0.0, float(len(NODE_ROADMAP) - 1)
+        fab("node") + fab("node_shift"), 0.0, float(len(NODE_ROADMAP) - 1)
     ).astype(np.intp)
     energy_coeff = _ENERGY_KWH_PER_CM2[resolved]
     gas_coeff = _GAS_KG_PER_CM2[resolved]
     material_coeff = _MATERIAL_KG_PER_CM2[resolved]
-    defect = _DEFECT_PER_CM2[resolved] * params["defect_density_scale"]
+    defect = _DEFECT_PER_CM2[resolved] * fab("defect_density_scale")
 
     # Wafer footprint: WaferFootprintModel.from_node + AbatementPolicy.
-    wafer_diameter = params["wafer_diameter_mm"]
+    wafer_diameter = fab("wafer_diameter_mm")
     radius_cm = wafer_diameter / 20.0
     area_cm2 = np.pi * radius_cm * radius_cm
-    energy_g = params["fab_intensity_g_per_kwh"] * (
+    energy_g = fab("fab_intensity_g_per_kwh") * (
         ((energy_coeff * area_cm2) * JOULES_PER_KWH) / JOULES_PER_KWH
     )
     gas_g = (gas_coeff * area_cm2) * GRAMS_PER_KG
     material_g = (material_coeff * area_cm2) * GRAMS_PER_KG
-    keep = 1.0 - (
-        params["abatement_coverage"] * params["abatement_efficiency"]
-    )
+    keep = 1.0 - (fab("abatement_coverage") * fab("abatement_efficiency"))
     pfc_g = (gas_g * _PFC_SHARE) * keep
     chem_g = (gas_g * _CHEM_SHARE) * keep
     bulk_g = (gas_g * _BULK_SHARE) * keep
@@ -353,63 +495,92 @@ def _metrics(
     ) + other_g
 
     # Yield: good dies per wafer, per-device model choice.
-    die_area = params["die_area_mm2"]
+    die_area = fab("die_area_mm2")
     candidates = dies_per_wafer(wafer_diameter, die_area)
     fraction = np.where(
         murphy_mask,
         murphy_yield(die_area, defect),
         poisson_yield(die_area, defect),
     )
-    good = candidates * fraction
+    return resolved, wafer_g, candidates * fraction
+
+
+def _metrics(
+    params: Mapping[str, np.ndarray],
+    node_axis: np.ndarray,
+    murphy_mask: np.ndarray,
+    names: Sequence[str],
+    scenario_fields: "set[str]",
+) -> "tuple[_ColumnLayout, dict[str, np.ndarray]]":
+    """Per-(device, column) metric arrays, mirroring the scalar reference.
+
+    Returns ``(layout, metrics)``: each metric array holds its values
+    on the distinct columns of its :data:`_METRIC_FIELDS` entry
+    (``layout.spread`` gives the ``(devices, cells)`` view). Errors
+    name the first failing (device, cell) of that view, as a full
+    broadcast would. Every expression replicates
+    ``simulate_device``'s float operations in the same order and
+    grouping — including the quantity types' unit round-trips — so
+    elements are bit-identical to scalar calls.
+    """
+    _validate_params(params, names, scenario_fields)
+    layout = _ColumnLayout(params, node_axis, scenario_fields)
+
+    fab = layout.reader(_FAB_FIELDS)
+    resolved, wafer_g, good = _wafer_stage(fab, murphy_mask)
     dead = good <= 0.0
     if dead.any():
-        device, cell = (int(index) for index in np.argwhere(dead)[0])
+        full = layout.spread(dead, _FAB_FIELDS, len(names))
+        device, cell = (int(index) for index in np.argwhere(full)[0])
         raise SimulationError(
             f"device {names[device]!r}: zero good dies per wafer at "
             f"scenario cell {cell}"
         )
     ic_kg = (wafer_g / good) / GRAMS_PER_KG
-    embodied_kg = ic_kg + params["non_ic_kg"]
+    embodied_kg = ic_kg + fab("non_ic_kg")
 
     # Use phase: UsageProfile / Battery / use_phase_bottom_up.
-    hours = params["active_hours_per_day"]
-    active_j = params["active_power_w"] * (hours * SECONDS_PER_HOUR)
-    standby_j = params["standby_power_w"] * ((24.0 - hours) * SECONDS_PER_HOUR)
+    use = layout.reader(_USE_FIELDS)
+    hours = use("active_hours_per_day")
+    active_j = use("active_power_w") * (hours * SECONDS_PER_HOUR)
+    standby_j = use("standby_power_w") * ((24.0 - hours) * SECONDS_PER_HOUR)
     annual_j = (active_j + standby_j) * DAYS_PER_YEAR
-    wall_j = annual_j * (1.0 / params["charge_efficiency"])
-    per_year_g = params["use_intensity_g_per_kwh"] * (wall_j / JOULES_PER_KWH)
-    lifetime_years = params["lifetime_years"] * params["lifetime_scale"]
-    use_g = per_year_g * lifetime_years
+    wall_j = annual_j * (1.0 / use("charge_efficiency"))
+    per_year_g = use("use_intensity_g_per_kwh") * (wall_j / JOULES_PER_KWH)
+    life = layout.reader(_LIFETIME_FIELDS)
+    lifetime_years = life("lifetime_years") * life("lifetime_scale")
+    replacement_years = layout.reader(_REPLACEMENT_FIELDS)(
+        "replacement_cycle_years"
+    )
+
+    lift = layout.lift
+    life_years = lift(lifetime_years, _LIFETIME_FIELDS, _USE_LIFE_FIELDS)
+    use_g = lift(per_year_g, _USE_FIELDS, _USE_LIFE_FIELDS) * life_years
     use_kg = use_g / GRAMS_PER_KG
     daily_use_g = per_year_g / DAYS_PER_YEAR
+    # Each annualized term divides on its own columns before the sum.
+    per_cycle_kg = lift(
+        embodied_kg, _FAB_FIELDS, _FAB_REPLACEMENT_FIELDS
+    ) / lift(replacement_years, _REPLACEMENT_FIELDS, _FAB_REPLACEMENT_FIELDS)
+    per_life_kg = use_kg / life_years
 
-    total_kg = embodied_kg + use_kg
-    embodied_fraction = embodied_kg / total_kg
-    break_even_days = (embodied_kg * GRAMS_PER_KG) / daily_use_g
-    amortizes = break_even_days <= lifetime_years * DAYS_PER_YEAR
-    annual_kg = (
-        embodied_kg / params["replacement_cycle_years"]
-        + use_kg / lifetime_years
-    )
     metrics = {
+        "node_index": resolved,
         "ic_kg": ic_kg,
         "embodied_kg": embodied_kg,
         "use_kg": use_kg,
-        "total_kg": total_kg,
-        "embodied_fraction": embodied_fraction,
-        "break_even_days": break_even_days,
-        "amortizes": amortizes,
-        "annual_kg": annual_kg,
+        "lifetime_years": lifetime_years,
+        "total_kg": lift(embodied_kg, _FAB_FIELDS, _TOTAL_FIELDS)
+        + lift(use_kg, _USE_LIFE_FIELDS, _TOTAL_FIELDS),
+        "break_even_days": lift(
+            embodied_kg * GRAMS_PER_KG, _FAB_FIELDS, _BREAK_EVEN_FIELDS
+        ) / lift(daily_use_g, _USE_FIELDS, _BREAK_EVEN_FIELDS),
+        "annual_kg": lift(
+            per_cycle_kg, _FAB_REPLACEMENT_FIELDS, _ANNUAL_FIELDS
+        ) + lift(per_life_kg, _USE_LIFE_FIELDS, _ANNUAL_FIELDS),
     }
-    for metric in ("total_kg", "break_even_days", "annual_kg"):
-        finite = np.isfinite(metrics[metric])
-        if not finite.all():
-            device, cell = (int(index) for index in np.argwhere(~finite)[0])
-            raise SimulationError(
-                f"device {names[device]!r}: metric {metric!r} is non-finite "
-                f"at scenario cell {cell}"
-            )
-    return metrics
+    _check_finite(layout, metrics, names)
+    return layout, metrics
 
 
 def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
@@ -428,18 +599,22 @@ def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
     with active_recorder().span(
         "batch", fn="simulate_device_batch", scenarios=len(specs)
     ):
-        metrics = _metrics(
+        _, metrics = _metrics(
             params, node_axis, murphy_mask, names, scenario_fields
         )
-        resolved = np.clip(
-            node_axis + params["node_shift"],
-            0.0,
-            float(len(NODE_ROADMAP) - 1),
-        ).astype(np.intp)
+        # One scenario without overrides: every metric is (devices, 1).
+        metrics["embodied_fraction"] = (
+            metrics["embodied_kg"] / metrics["total_kg"]
+        )
+        metrics["amortizes"] = metrics["break_even_days"] <= (
+            metrics["lifetime_years"] * DAYS_PER_YEAR
+        )
         columns: dict[str, Any] = {
             "device": list(names),
             "manufacturer": [spec.manufacturer for spec in specs],
-            "node": [_NODE_NAMES[int(index)] for index in resolved[:, 0]],
+            "node": [
+                _NODE_NAMES[index] for index in metrics["node_index"][:, 0]
+            ],
             "units": params["units"].reshape(-1),
         }
         for metric in DEVICE_METRICS:

@@ -12,7 +12,8 @@ Sharding is over the *device* axis (scenarios stay whole). The sweep
 gathers the catalog's parameter columns once and ships row slices to
 the chunks; each chunk reduces its own (device, cell) quantities to an
 *exact expansion* per cell — a few floats whose real sum is the chunk's
-column sum with no rounding (:func:`_exact_partials`) — so a chunk
+column sum with no rounding (:func:`_exact_partials`), extracted once
+per distinct column of the fields the quantity reads — so a chunk
 result is O(cells) whatever its device count. The sweep then runs one
 :func:`math.fsum` per cell over every chunk's expansion. ``fsum`` is
 correctly rounded, so each aggregate is the exact device sum rounded
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +44,13 @@ from ..tabular import Table
 from ..uncertainty.draws import _check_records, build_draw_matrix
 from ..uncertainty.result import UncertainResult
 from ..uncertainty.sweeps import _axes_table, _kept_axis_names, _reshape_metrics
-from .batch import _device_columns, _metrics, _parameter_grid
+from .batch import (
+    _METRIC_FIELDS,
+    _ColumnLayout,
+    _device_columns,
+    _metrics,
+    _parameter_grid,
+)
 from .catalog import OVERRIDABLE_FIELDS, DeviceSpec
 
 __all__ = ["PORTFOLIO_METRICS", "sweep_portfolio", "sweep_portfolio_uncertain"]
@@ -71,6 +78,8 @@ _MAX_SIGMA_EXPONENT = 1000
 #: rows are their own exact expansion, and below ~2k values numpy's
 #: per-call overhead makes the extraction slower than ``fsum`` over rows.
 _RAW_VALUES = 2048
+#: The field the fleet ``units`` weight reads.
+_UNITS = frozenset({"units"})
 
 
 def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
@@ -126,24 +135,53 @@ def _exact_partials(values: np.ndarray) -> "list[list[float]]":
     return partials
 
 
+def _quantities(
+    layout: _ColumnLayout, metrics: Mapping[str, np.ndarray]
+) -> Iterator:
+    """``(name, fields read, values)`` of each reduced quantity in turn.
+
+    Built one at a time, so a chunk holds one quantity's array (and its
+    extraction's) at once.
+    """
+    units = layout.reader(_UNITS)("units")
+    for name in ("embodied_kg", "use_kg", "annual_kg"):
+        fields = _METRIC_FIELDS[name] | _UNITS
+        yield name, fields, layout.lift(
+            metrics[name], _METRIC_FIELDS[name], fields
+        ) * layout.lift(units, _UNITS, fields)
+    yield "units", _UNITS, units
+    yield (
+        "break_even_days",
+        _METRIC_FIELDS["break_even_days"],
+        metrics["break_even_days"],
+    )
+
+
 def _chunk_partials(grid: tuple, cells: int) -> tuple:
-    """``(devices, {quantity: per-cell expansions})`` for one chunk."""
-    params, names = grid[0], grid[3]
-    metrics = _metrics(*grid)
-    units = params["units"]
-    quantities = {
-        name: metrics[name] * units
-        for name in ("embodied_kg", "use_kg", "annual_kg")
-    }
-    quantities.update(units=units, break_even_days=metrics["break_even_days"])
-    raw = len(names) * cells <= _RAW_VALUES
+    """``(devices, {quantity: per-cell expansions})`` for one chunk.
+
+    Each quantity is extracted once per distinct column of the fields
+    it reads, and every cell takes its column's expansion.
+    """
+    devices = len(grid[3])
+    layout, metrics = _metrics(*grid)
+    raw = devices * cells <= _RAW_VALUES
     partials = {}
-    for name, values in quantities.items():
-        block = np.broadcast_to(values, (len(names), values.shape[1]))
-        columns = block.T.tolist() if raw else _exact_partials(block)
-        # A device-only quantity has one column: its sum in every cell.
-        partials[name] = columns if len(columns) == cells else columns * cells
-    return len(names), partials
+    for name, fields, values in _quantities(layout, metrics):
+        block = np.broadcast_to(values, (devices, values.shape[1]))
+        distinct = block.T.tolist() if raw else _exact_partials(block)
+        if len(distinct) == 1:
+            # One column (no varying field read): its sum in every cell.
+            partials[name] = distinct * cells
+        else:
+            # A list per cell, not shared: a chunk result holds one
+            # expansion per cell, and its pickled form (what crosses to
+            # the driver) grows with the cells, as
+            # tests/test_portfolio_partials.py pins. Shared lists would
+            # pickle once per column.
+            inverse = layout.columns(fields)[1].tolist()
+            partials[name] = [list(distinct[index]) for index in inverse]
+    return devices, partials
 
 
 def _portfolio_chunk(payload: tuple, start: int, stop: int) -> tuple:
