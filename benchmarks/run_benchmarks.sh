@@ -73,6 +73,21 @@ if [[ "$quick" -eq 1 ]]; then
         --sweep portfolio
     # Stats smoke: the trace the storm just wrote must render.
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro stats "$trace"
+    # Skip smoke: with its first chunk failing on every attempt, a
+    # skip-mode sweep must render the rest, report the one skipped
+    # chunk on stderr and exit 1.
+    faults="$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+from repro.exec import FaultRule, FaultSpec
+rule = FaultRule(kind="raise", starts=(0,), attempts=None)
+print(FaultSpec(rules=(rule,)).to_json())')"
+    status=0
+    skip_err="$(REPRO_FAULTS="$faults" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+        python -m repro sweep provisioning_mix --chunk-size 4 \
+        --on-error skip --no-cache 2>&1 >/dev/null)" || status=$?
+    if [[ "$status" -ne 1 || "$skip_err" != *"warning: 1 of "*" chunks failed"* ]]; then
+        echo "skip smoke failed (exit $status): $skip_err" >&2
+        exit 1
+    fi
     # Serve smoke: a concurrent-client burst against the in-process
     # sweep service, both coalesced and baseline, must answer every
     # request (see tools/load_gen.py; the 5x throughput gate lives in

@@ -46,6 +46,7 @@ from typing import Iterator, Sequence
 from ._version import __version__
 from .experiments import EXPERIMENT_IDS, experiment_titles, run_all, run_experiment
 from .errors import ReproError
+from .exec import FailureReport
 
 __all__ = ["main", "build_parser"]
 
@@ -428,7 +429,18 @@ def _command_list() -> int:
 
 
 #: The execution knobs ``repro run`` accepts, at their flag defaults.
-_RUN_DEFAULTS = {"jobs": 1, "retries": None, "timeout": None, "on_error": "raise"}
+_RUN_DEFAULTS = {"jobs": 1, "retries": None, "timeout": None, "skip": None}
+
+
+def _exec_options(args: argparse.Namespace, knobs: Sequence[str]) -> dict:
+    """The execution knobs named by ``knobs``, read off the parsed flags.
+
+    ``--on-error skip`` becomes ``skip=``, a fresh
+    :class:`~repro.exec.FailureReport` the command reads afterwards.
+    """
+    options = {knob: getattr(args, knob) for knob in knobs}
+    options["skip"] = FailureReport() if args.on_error == "skip" else None
+    return options
 
 
 def _command_run(experiment: str, cache_dir: str | None, options: dict) -> int:
@@ -506,7 +518,8 @@ def _command_sweep(
             if value is not None:
                 print(f"error: {flag} needs --draws", file=sys.stderr)
                 return 2
-    result, report, _ = cached_sweep(
+    report = options["skip"]
+    result, _ = cached_sweep(
         name,
         draws,
         seed if seed is not None else 0,
@@ -711,7 +724,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return _command_run(
                     args.experiment,
                     _resolve_cache_dir(args.cache_dir, args.no_cache),
-                    {knob: getattr(args, knob) for knob in _RUN_DEFAULTS},
+                    _exec_options(args, ("jobs", "retries", "timeout")),
                 )
         if args.command == "checks":
             return _command_checks()
@@ -727,12 +740,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     args.band,
                     _resolve_cache_dir(args.cache_dir, args.no_cache),
                     args.resume,
-                    {
-                        knob: getattr(args, knob)
-                        for knob in (
-                            "jobs", "chunk_size", "retries", "timeout", "on_error"
-                        )
-                    },
+                    _exec_options(
+                        args, ("jobs", "chunk_size", "retries", "timeout")
+                    ),
                 )
         if args.command == "serve":
             with _observed(

@@ -13,11 +13,12 @@ and keeps long runs alive when workers raise, crash, or hang:
   an in-order streaming reduction. Per-scenario seeded RNG streams
   make sharded runs bit-identical to monolithic ones
   (``tests/test_sharded_equivalence.py``).
-* :class:`RetryPolicy` / ``timeout`` / ``on_error`` — fault-tolerant
+* :class:`RetryPolicy` / ``timeout`` / ``skip`` — fault-tolerant
   execution: failed, crashed, hung, or corrupt chunks are retried with
   deterministic seeded backoff; exhausted chunks raise a structured
-  :class:`~repro.errors.ChunkFailedError` or degrade to partial
-  results plus a :class:`FailureReport` under ``on_error="skip"``.
+  :class:`~repro.errors.ChunkFailedError` or, given a caller-owned
+  :class:`FailureReport` as ``skip``, degrade to partial results and
+  land in that report.
 * :class:`CheckpointStore` — chunk-level checkpoints layered on the
   result cache, keyed by (spec digest, shard range), so interrupted
   sweeps resume bit-identically via ``repro sweep --resume``.
@@ -41,11 +42,11 @@ attempt-outcome sequences a traced run must reproduce.
 The sweep runners in :mod:`repro.scenarios`, :mod:`repro.uncertainty`,
 :mod:`repro.portfolio` and :mod:`repro.traces`, and the experiment
 registry's ``run_all``, all take the :class:`ExecOptions` knobs as
-``**options`` and pass them to :func:`run_sharded` untouched;
-:func:`split_outcome` unpacks their ``on_error="skip"`` results. The
-CLI surfaces the knobs as ``repro sweep NAME --jobs N --retries R
---timeout S --on-error skip --resume`` and ``repro run all --jobs N
---retries R --timeout S --on-error skip``.
+``**options`` and pass them to :func:`run_sharded` untouched, and
+return the same type whatever the failure mode. The CLI surfaces the
+knobs as ``repro sweep NAME --jobs N --retries R --timeout S
+--on-error skip --resume`` and ``repro run all --jobs N --retries R
+--timeout S --on-error skip``.
 """
 
 from .cache import (
@@ -65,14 +66,13 @@ from .faults import (
     install_faults,
     predict_outcomes,
 )
-from .options import ExecOptions, split_outcome
+from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, FailureReport, RetryPolicy
 from .runner import kernel_name, resolve_kernel, run_sharded
 
 __all__ = [
     "ExecOptions",
-    "split_outcome",
     "Shard",
     "ShardPlan",
     "kernel_name",

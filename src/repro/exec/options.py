@@ -1,21 +1,21 @@
 """Execution options: the knobs every sharded runner accepts, in one place.
 
 Every sweep runner takes the same six keywords — ``jobs``,
-``chunk_size``, ``retries``, ``timeout``, ``on_error`` and
+``chunk_size``, ``retries``, ``timeout``, ``skip`` and
 ``checkpoint`` — and passes them through untouched as ``**options``.
 :func:`repro.exec.run_sharded` builds one :class:`ExecOptions` from
 them, so the rules (and their error messages) live here once, and a
 misspelt knob is a ``TypeError`` from the dataclass constructor.
 
-Under ``on_error="skip"`` a run returns ``(result, FailureReport)``
-instead of the bare result; :func:`split_outcome` is the one place
-that unpacks that shape.
+A run returns the same type whatever the failure mode: skip mode is
+turned on by passing a caller-owned :class:`FailureReport` as
+``skip``, which the run fills with the chunks it skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError
 from .retry import FailureReport, RetryPolicy
@@ -23,7 +23,7 @@ from .retry import FailureReport, RetryPolicy
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .checkpoint import CheckpointStore
 
-__all__ = ["ExecOptions", "split_outcome"]
+__all__ = ["ExecOptions"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,9 @@ class ExecOptions:
     - ``timeout`` — per-chunk wall-clock seconds; needs ``jobs > 1``
       because inline chunks run on the calling thread and cannot be
       cancelled.
-    - ``on_error`` — ``"raise"`` or ``"skip"`` (partial result plus a
-      :class:`~repro.exec.retry.FailureReport`).
+    - ``skip`` — ``None`` raises on an exhausted chunk; a
+      :class:`~repro.exec.retry.FailureReport` keeps the partial
+      result and collects the skipped chunks in that report.
     - ``checkpoint`` — a :class:`~repro.exec.checkpoint.CheckpointStore`
       persisting finished chunks for resumable runs.
     """
@@ -50,7 +51,7 @@ class ExecOptions:
     chunk_size: "int | None" = None
     retries: "RetryPolicy | int | None" = None
     timeout: "float | None" = None
-    on_error: str = "raise"
+    skip: "FailureReport | None" = None
     checkpoint: "CheckpointStore | None" = None
 
     def __post_init__(self) -> None:
@@ -71,23 +72,7 @@ class ExecOptions:
                     "a per-chunk timeout needs jobs > 1: inline chunks run on "
                     "the calling thread and cannot be cancelled"
                 )
-        if self.on_error not in ("raise", "skip"):
+        if self.skip is not None and not isinstance(self.skip, FailureReport):
             raise ExecutionError(
-                f"on_error must be 'raise' or 'skip', got {self.on_error!r}"
+                f"skip must be a FailureReport or None, got {self.skip!r}"
             )
-
-
-def split_outcome(
-    outcome: Any, on_error: str
-) -> "tuple[Any, FailureReport | None]":
-    """A run's return value as ``(result, report)``.
-
-    Under ``on_error="skip"`` runners return ``(result,
-    FailureReport)``; the report comes back as is (falsy when nothing
-    failed). Otherwise the outcome is the result and the report is
-    ``None``.
-    """
-    if on_error == "skip":
-        result, report = outcome
-        return result, report
-    return outcome, None

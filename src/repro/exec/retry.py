@@ -10,16 +10,16 @@ from a seeded :func:`numpy.random.default_rng` stream keyed by
 ``(seed, stream, attempt)``, so two runs of the same failing sweep
 sleep the same schedule — no wall-clock randomness anywhere.
 
-When a chunk exhausts its budget under ``on_error="skip"``, the run
-degrades to partial results plus a :class:`FailureReport`: a
-machine-readable record naming every skipped shard, its attempt count,
-and the failure kind, so a caller (or the ``repro sweep`` CLI) can
-requeue exactly the missing scenario ranges.
+When a chunk exhausts its budget in skip mode, the run degrades to a
+partial result and records the shard in the caller's
+:class:`FailureReport`: a machine-readable record naming every skipped
+shard, its attempt count, and the failure kind, so a caller (or the
+``repro sweep`` CLI) can requeue exactly the missing scenario ranges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -150,18 +150,20 @@ class ChunkFailure:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class FailureReport:
     """Machine-readable account of the shards a sweep skipped.
 
-    Returned alongside the partial result by ``on_error="skip"`` runs.
-    Truthiness mirrors "did anything fail": an empty report is falsy,
-    so ``result, report = run_sharded(...); if report: ...`` reads
-    naturally.
+    The caller owns it: passing one as ``skip=`` turns on skip mode,
+    and every run given it appends its skipped chunks to ``failures``
+    and its chunk count to ``num_chunks``. Truthiness mirrors "did
+    anything fail": an empty report is falsy, so ``report =
+    FailureReport(); run_sharded(..., skip=report); if report: ...``
+    reads naturally.
     """
 
-    failures: tuple[ChunkFailure, ...]
-    num_chunks: int
+    failures: list[ChunkFailure] = field(default_factory=list)
+    num_chunks: int = 0
 
     def __bool__(self) -> bool:
         return bool(self.failures)

@@ -35,8 +35,8 @@ envelope (sha256 over the worker-pickled bytes), so a corrupt result
 is detected and charged as a failed attempt instead of silently
 combined. Retries follow a :class:`~repro.exec.retry.RetryPolicy`
 with deterministic seeded backoff; exhausted chunks raise a structured
-:class:`~repro.errors.ChunkFailedError` or, under ``on_error="skip"``,
-degrade to partial results plus a
+:class:`~repro.errors.ChunkFailedError` or, in skip mode, degrade to
+a partial result whose skipped chunks land in the caller's
 :class:`~repro.exec.retry.FailureReport`. A
 :class:`~repro.exec.checkpoint.CheckpointStore` persists each finished
 chunk so an interrupted sweep resumes bit-identically.
@@ -58,7 +58,7 @@ from ..obs.recorder import active_recorder
 from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
 from .options import ExecOptions
 from .plan import Shard, ShardPlan
-from .retry import ChunkFailure, FailureReport, RetryPolicy
+from .retry import ChunkFailure, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .checkpoint import CheckpointStore
@@ -301,6 +301,42 @@ def _abandon_pool(pool: Any) -> None:
             pass
 
 
+def _charge_attempt(
+    recorder: Any,
+    retry: RetryPolicy,
+    shard: Shard,
+    attempt: int,
+    kind: str,
+    message: str,
+) -> "float | None":
+    """Record a failed attempt and schedule its retry, if any is left.
+
+    Emits the ``attempt`` event and, while the budget lasts, the
+    ``retry`` event. Returns the backoff before the next attempt, or
+    ``None`` when the shard has exhausted its budget.
+    """
+    recorder.event(
+        "attempt",
+        scope="chunk",
+        key=shard.index,
+        stream=shard.start,
+        attempt=attempt,
+        outcome=kind,
+        error=message[:200],
+    )
+    if attempt >= retry.max_attempts:
+        return None
+    delay = retry.delay(shard.start, attempt)
+    recorder.event(
+        "retry",
+        scope="chunk",
+        stream=shard.start,
+        attempt=attempt,
+        delay_s=delay,
+    )
+    return delay
+
+
 def _run_pool_tasks(
     shards: Sequence[Shard],
     *,
@@ -345,28 +381,12 @@ def _run_pool_tasks(
         error: "BaseException | None",
         delays: list[float],
     ) -> None:
-        recorder.event(
-            "attempt",
-            scope="chunk",
-            key=shard.index,
-            stream=shard.start,
-            attempt=attempt,
-            outcome=kind,
-            error=message[:200],
-        )
-        if attempt < retry.max_attempts:
-            delay = retry.delay(shard.start, attempt)
-            recorder.event(
-                "retry",
-                scope="chunk",
-                stream=shard.start,
-                attempt=attempt,
-                delay_s=delay,
-            )
+        delay = _charge_attempt(recorder, retry, shard, attempt, kind, message)
+        if delay is None:
+            failures.append(_ShardFailure(shard, attempt, kind, message, error))
+        else:
             delays.append(delay)
             pending.append((shard, attempt + 1))
-        else:
-            failures.append(_ShardFailure(shard, attempt, kind, message, error))
 
     wave_index = 0
     while pending:
@@ -518,8 +538,6 @@ def _run_chunk_inline(
 ) -> "tuple[Any, _ShardFailure | None]":
     """Run one chunk on the calling thread with the same retry budget."""
     recorder = active_recorder()
-    last_error: "Exception | None" = None
-    kind = "error"
     for attempt in range(1, retry.max_attempts + 1):
         rule = spec.match(shard.start, attempt) if spec is not None else None
         began = time.monotonic()
@@ -548,36 +566,21 @@ def _run_chunk_inline(
             )
             return chunk, None
         except Exception as error:
-            last_error = error
             kind = "corrupt" if isinstance(error, CorruptChunkError) else "error"
-            recorder.event(
-                "attempt",
-                scope="chunk",
-                key=shard.index,
-                stream=shard.start,
-                attempt=attempt,
-                outcome=kind,
-                error=str(error)[:200],
+            delay = _charge_attempt(
+                recorder, retry, shard, attempt, kind, str(error)
             )
-            if attempt < retry.max_attempts:
-                delay = retry.delay(shard.start, attempt)
-                recorder.event(
-                    "retry",
-                    scope="chunk",
-                    stream=shard.start,
-                    attempt=attempt,
-                    delay_s=delay,
+            if delay is None:
+                return None, _ShardFailure(
+                    shard, attempt, kind, str(error), error
                 )
-                _sleep(delay)
-    return None, _ShardFailure(
-        shard, retry.max_attempts, kind, str(last_error), last_error
-    )
+            _sleep(delay)
 
 
 def _raise_exhausted(failure: _ShardFailure, *, raw: bool) -> None:
     """Surface an exhausted chunk.
 
-    ``raw`` (set under ``on_error="raise"`` with no retry budget armed)
+    ``raw`` (set outside skip mode with no retry budget armed)
     lets the chunk's own exception propagate, as ``run_sharded``
     always raised before the fault-tolerance layer existed; otherwise
     exhaustion is a structured :class:`~repro.errors.ChunkFailedError`
@@ -611,7 +614,7 @@ def run_sharded(
     """Run ``kernel`` over ``size`` scenarios in shards and reduce the chunks.
 
     ``options`` are the :class:`~repro.exec.options.ExecOptions` knobs
-    (``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``on_error``,
+    (``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``skip``,
     ``checkpoint``), validated once here; the shards come from
     ``ShardPlan.plan(size, chunk_size, jobs)``. ``kernel(payload,
     start, stop)`` is called once per shard — inline for ``jobs=1``,
@@ -633,14 +636,14 @@ def run_sharded(
       it is charged a failed attempt and its pool is rebuilt. Requires
       ``jobs > 1``: inline chunks run on the calling thread and cannot
       be cancelled.
-    - ``on_error`` — ``"raise"`` (default) surfaces the first
-      exhausted chunk: with no retry budget the chunk's own exception
-      propagates unchanged (the pre-fault-tolerance contract), with
-      retries armed it is a structured
-      :class:`~repro.errors.ChunkFailedError`. ``"skip"`` returns
-      ``(partial_result, FailureReport)`` instead (unpack it with
-      :func:`~repro.exec.options.split_outcome`), raising only if *no*
-      chunk completed at all.
+    - ``skip`` — ``None`` (default) surfaces the first exhausted
+      chunk: with no retry budget the chunk's own exception propagates
+      unchanged (the pre-fault-tolerance contract), with retries armed
+      it is a structured :class:`~repro.errors.ChunkFailedError`. A
+      caller-owned :class:`~repro.exec.retry.FailureReport` keeps the
+      partial result instead: the run appends its skipped chunks and
+      its chunk count to the report, and raises only if *no* chunk
+      completed at all (after filling the report).
     - ``checkpoint`` — a :class:`~repro.exec.checkpoint.CheckpointStore`;
       finished chunks are persisted as they land (multi-chunk plans
       only), prefilled from the store when it was opened in consume
@@ -653,7 +656,7 @@ def run_sharded(
     options = ExecOptions(**options)
     plan = ShardPlan.plan(size, options.chunk_size, options.jobs)
     jobs, retry, timeout = options.jobs, options.retries, options.timeout
-    on_error, checkpoint = options.on_error, options.checkpoint
+    report, checkpoint = options.skip, options.checkpoint
     spec = active_fault_spec(faults)
     if spec is not None and not spec:
         spec = None
@@ -690,7 +693,7 @@ def run_sharded(
                     if use_checkpoint:
                         checkpoint.put(shard.start, shard.stop, chunk)
                 else:
-                    if on_error == "raise":
+                    if report is None:
                         _raise_exhausted(failure, raw=retry.max_attempts == 1)
                     failures.append(failure)
         elif to_run:
@@ -704,24 +707,18 @@ def run_sharded(
             )
             completed.update(results)
 
-        if failures:
-            failures.sort(key=lambda failure: failure.shard.index)
-            if on_error == "raise" or not completed:
-                _raise_exhausted(
-                    failures[0],
-                    raw=on_error == "raise" and retry.max_attempts == 1,
-                )
+        failures.sort(key=lambda failure: failure.shard.index)
+        if report is not None:
+            report.failures.extend(failure.report() for failure in failures)
+            report.num_chunks += len(shards)
+        if failures and (report is None or not completed):
+            _raise_exhausted(
+                failures[0], raw=report is None and retry.max_attempts == 1
+            )
         if use_checkpoint and not failures:
             # complete() wipes the spec's whole namespace — catching
             # stale entries an earlier geometry left — where a
             # plan-shaped discard() only covers this run's ranges.
             checkpoint.complete()
         chunks = [completed[index] for index in sorted(completed)]
-        result = chunks if combine is None else combine(chunks)
-        if on_error == "skip":
-            report = FailureReport(
-                failures=tuple(failure.report() for failure in failures),
-                num_chunks=len(shards),
-            )
-            return result, report
-        return result
+        return chunks if combine is None else combine(chunks)

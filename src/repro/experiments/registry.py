@@ -19,9 +19,9 @@ makes three accelerations safe:
 ``run_all`` takes the :class:`~repro.exec.ExecOptions` knobs, so its
 fault tolerance is the sweeps': ``retries=`` re-runs drivers that
 raise or whose worker dies (deterministic seeded backoff), a
-per-driver ``timeout=`` bounds hung drivers when ``jobs > 1``, and
-``on_error="skip"`` returns the results that completed instead of
-aborting the whole evaluation.
+per-driver ``timeout=`` bounds hung drivers when ``jobs > 1``, and a
+``skip=`` :class:`~repro.exec.FailureReport` returns the results that
+completed instead of aborting the whole evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..exec import (
     cache_key,
     package_fingerprint,
     run_sharded,
-    split_outcome,
 )
 from ..obs.recorder import active_recorder
 from .result import ExperimentResult
@@ -253,18 +252,18 @@ def run_all(
     lookup: ``jobs > 1`` runs the drivers over a process pool (results
     still come back in registry order), ``retries`` re-runs drivers
     that raise or whose worker dies, ``timeout`` bounds each driver
-    when ``jobs > 1``, and ``on_error="skip"`` returns whatever
+    when ``jobs > 1``, and a ``skip`` report returns whatever
     completed — missing ids in the returned mapping name the drivers
-    that exhausted their attempts. Fault rules match a driver's index
-    among the pending drivers.
+    that exhausted their attempts, and the report holds their chunks.
+    Fault rules match a driver's index among the pending drivers.
 
-    Under ``on_error="raise"`` an exhausted driver raises an
+    Outside skip mode an exhausted driver raises an
     :class:`~repro.errors.ExperimentError` naming its id; with no retry
     budget the driver's own exception propagates unchanged, as in
     every sharded runner.
     """
     options.setdefault("chunk_size", 1)
-    on_error = ExecOptions(**options).on_error
+    skip = ExecOptions(**options).skip
     disk = ResultCache(cache_dir) if cache_dir is not None else None
     results: dict[str, ExperimentResult] = {}
     pending: list[str] = []
@@ -287,18 +286,16 @@ def run_all(
             os.fspath(cache_dir) if cache_dir is not None else None,
         )
         try:
-            outcome = run_sharded(
+            chunks = run_sharded(
                 _experiment_chunk, payload, len(pending), **options
             )
         except ChunkFailedError as error:
-            if on_error == "raise":
+            if skip is None:
                 failed = ", ".join(map(repr, pending[error.start:error.stop]))
                 raise ExperimentError(
                     f"experiment {failed} failed: {error}"
                 ) from error
             chunks = []  # skip mode raises only when no driver completed
-        else:
-            chunks, _ = split_outcome(outcome, on_error)
         for experiment_id, result in itertools.chain.from_iterable(chunks):
             if cache:
                 _RESULT_CACHE[experiment_id] = (

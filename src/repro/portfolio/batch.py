@@ -539,46 +539,53 @@ def _metrics(
     ic_kg = (wafer_g / good) / GRAMS_PER_KG
     embodied_kg = ic_kg + fab("non_ic_kg")
 
-    # Use phase: UsageProfile / Battery / use_phase_bottom_up.
-    use = layout.reader(_USE_FIELDS)
-    hours = use("active_hours_per_day")
-    active_j = use("active_power_w") * (hours * SECONDS_PER_HOUR)
-    standby_j = use("standby_power_w") * ((24.0 - hours) * SECONDS_PER_HOUR)
-    annual_j = (active_j + standby_j) * DAYS_PER_YEAR
-    wall_j = annual_j * (1.0 / use("charge_efficiency"))
-    per_year_g = use("use_intensity_g_per_kwh") * (wall_j / JOULES_PER_KWH)
-    life = layout.reader(_LIFETIME_FIELDS)
-    lifetime_years = life("lifetime_years") * life("lifetime_scale")
-    replacement_years = layout.reader(_REPLACEMENT_FIELDS)(
-        "replacement_cycle_years"
-    )
+    # Non-finite cells are _check_finite's to report, as one error
+    # naming the first failing (device, cell), not as a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Use phase: UsageProfile / Battery / use_phase_bottom_up.
+        use = layout.reader(_USE_FIELDS)
+        hours = use("active_hours_per_day")
+        active_j = use("active_power_w") * (hours * SECONDS_PER_HOUR)
+        standby_j = use("standby_power_w") * (
+            (24.0 - hours) * SECONDS_PER_HOUR
+        )
+        annual_j = (active_j + standby_j) * DAYS_PER_YEAR
+        wall_j = annual_j * (1.0 / use("charge_efficiency"))
+        per_year_g = use("use_intensity_g_per_kwh") * (wall_j / JOULES_PER_KWH)
+        life = layout.reader(_LIFETIME_FIELDS)
+        lifetime_years = life("lifetime_years") * life("lifetime_scale")
+        replacement_years = layout.reader(_REPLACEMENT_FIELDS)(
+            "replacement_cycle_years"
+        )
 
-    lift = layout.lift
-    life_years = lift(lifetime_years, _LIFETIME_FIELDS, _USE_LIFE_FIELDS)
-    use_g = lift(per_year_g, _USE_FIELDS, _USE_LIFE_FIELDS) * life_years
-    use_kg = use_g / GRAMS_PER_KG
-    daily_use_g = per_year_g / DAYS_PER_YEAR
-    # Each annualized term divides on its own columns before the sum.
-    per_cycle_kg = lift(
-        embodied_kg, _FAB_FIELDS, _FAB_REPLACEMENT_FIELDS
-    ) / lift(replacement_years, _REPLACEMENT_FIELDS, _FAB_REPLACEMENT_FIELDS)
-    per_life_kg = use_kg / life_years
+        lift = layout.lift
+        life_years = lift(lifetime_years, _LIFETIME_FIELDS, _USE_LIFE_FIELDS)
+        use_g = lift(per_year_g, _USE_FIELDS, _USE_LIFE_FIELDS) * life_years
+        use_kg = use_g / GRAMS_PER_KG
+        daily_use_g = per_year_g / DAYS_PER_YEAR
+        # Each annualized term divides on its own columns before the sum.
+        per_cycle_kg = lift(
+            embodied_kg, _FAB_FIELDS, _FAB_REPLACEMENT_FIELDS
+        ) / lift(
+            replacement_years, _REPLACEMENT_FIELDS, _FAB_REPLACEMENT_FIELDS
+        )
+        per_life_kg = use_kg / life_years
 
-    metrics = {
-        "node_index": resolved,
-        "ic_kg": ic_kg,
-        "embodied_kg": embodied_kg,
-        "use_kg": use_kg,
-        "lifetime_years": lifetime_years,
-        "total_kg": lift(embodied_kg, _FAB_FIELDS, _TOTAL_FIELDS)
-        + lift(use_kg, _USE_LIFE_FIELDS, _TOTAL_FIELDS),
-        "break_even_days": lift(
-            embodied_kg * GRAMS_PER_KG, _FAB_FIELDS, _BREAK_EVEN_FIELDS
-        ) / lift(daily_use_g, _USE_FIELDS, _BREAK_EVEN_FIELDS),
-        "annual_kg": lift(
-            per_cycle_kg, _FAB_REPLACEMENT_FIELDS, _ANNUAL_FIELDS
-        ) + lift(per_life_kg, _USE_LIFE_FIELDS, _ANNUAL_FIELDS),
-    }
+        metrics = {
+            "node_index": resolved,
+            "ic_kg": ic_kg,
+            "embodied_kg": embodied_kg,
+            "use_kg": use_kg,
+            "lifetime_years": lifetime_years,
+            "total_kg": lift(embodied_kg, _FAB_FIELDS, _TOTAL_FIELDS)
+            + lift(use_kg, _USE_LIFE_FIELDS, _TOTAL_FIELDS),
+            "break_even_days": lift(
+                embodied_kg * GRAMS_PER_KG, _FAB_FIELDS, _BREAK_EVEN_FIELDS
+            ) / lift(daily_use_g, _USE_FIELDS, _BREAK_EVEN_FIELDS),
+            "annual_kg": lift(
+                per_cycle_kg, _FAB_REPLACEMENT_FIELDS, _ANNUAL_FIELDS
+            ) + lift(per_life_kg, _USE_LIFE_FIELDS, _ANNUAL_FIELDS),
+        }
     _check_finite(layout, metrics, names)
     return layout, metrics
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..analysis.uncertainty import is_distribution
 from ..errors import SimulationError
-from ..exec import run_sharded, split_outcome
+from ..exec import run_sharded
 from ..obs.recorder import active_recorder
 from ..scenarios.runner import (
     _attach_axes,
@@ -255,10 +255,8 @@ def sweep_portfolio(
     ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
     *device* axis through :func:`repro.exec.run_sharded`; results are
     element-identical for every geometry and invariant under catalog
-    permutation (exactly rounded device sums). Under
-    ``on_error="skip"`` the return value becomes a ``(Table,
-    FailureReport)`` pair aggregating only the devices whose chunks
-    survived.
+    permutation (exactly rounded device sums). In skip mode the table
+    aggregates only the devices whose chunks survived.
     """
     specs = tuple(catalog)
     columns = _device_columns(specs)
@@ -269,16 +267,14 @@ def sweep_portfolio(
         "batch", fn="sweep_portfolio", scenarios=len(records),
         devices=len(specs),
     ):
-        outcome = run_sharded(
+        chunks = run_sharded(
             _portfolio_chunk, (columns, records), len(specs), **options
         )
-    chunks, report = split_outcome(outcome, options.get("on_error", "raise"))
-    table = _attach_axes(
+    return _attach_axes(
         records,
         Table(_fleet_aggregates(chunks, len(records))),
         keep=_scalar_axis_names(records),
     )
-    return table if report is None else (table, report)
 
 
 def sweep_portfolio_uncertain(
@@ -302,8 +298,8 @@ def sweep_portfolio_uncertain(
     :class:`~repro.uncertainty.UncertainResult` whose
     :data:`PORTFOLIO_METRICS` samples are bit-identical for every
     ``jobs``/``chunk_size`` geometry of ``options`` (the *device* axis
-    is what shards). Under ``on_error="skip"`` returns an
-    ``(UncertainResult, FailureReport)`` pair over surviving devices.
+    is what shards). In skip mode the samples cover the surviving
+    devices.
     """
     specs = tuple(catalog)
     columns = _device_columns(specs)
@@ -315,17 +311,15 @@ def sweep_portfolio_uncertain(
         "batch", fn="sweep_portfolio_uncertain", scenarios=len(records),
         draws=draws, devices=len(specs),
     ):
-        outcome = run_sharded(
+        chunks = run_sharded(
             _portfolio_uncertain_chunk, (columns, records, draws, seed),
             len(specs), **options,
         )
-    chunks, report = split_outcome(outcome, options.get("on_error", "raise"))
     aggregates = _fleet_aggregates(chunks, len(records) * draws)
     flat = Table({metric: aggregates[metric] for metric in PORTFOLIO_METRICS})
-    result = UncertainResult(
+    return UncertainResult(
         axes=_axes_table(records, keep=_kept_axis_names(records)),
         samples=_reshape_metrics(flat, PORTFOLIO_METRICS, len(records), draws),
         draws=draws,
         seed=seed,
     )
-    return result if report is None else (result, report)

@@ -10,16 +10,16 @@ does the same for the heterogeneous-provisioning question. ``SWEEPS`` names a fe
 ready-made decision-space explorations for the ``repro sweep`` CLI.
 
 Every runner takes the :class:`repro.exec.ExecOptions` knobs
-(``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``on_error``,
+(``jobs``, ``chunk_size``, ``retries``, ``timeout``, ``skip``,
 ``checkpoint``) as ``**options`` and passes them untouched to
 :func:`repro.exec.run_sharded`: the scenario axis is split into
 contiguous chunks (peak kernel memory is bounded by ``chunk_size``
 scenarios) evaluated inline or over a process pool, and the chunk
 tables are stacked with :meth:`repro.tabular.Table.concat`. Sharded
 results are element-identical to monolithic runs for any chunk/job
-configuration (``tests/test_sharded_equivalence.py``). Under
-``on_error="skip"`` a runner returns ``(result, FailureReport)``;
-:func:`repro.exec.split_outcome` unpacks it.
+configuration (``tests/test_sharded_equivalence.py``). A runner
+returns the same type in skip mode; the chunks it skipped land in the
+:class:`~repro.exec.FailureReport` the caller passed as ``skip``.
 
 :func:`cached_sweep` is how both front ends (``repro sweep`` and
 ``repro serve``) run a named sweep through the shared
@@ -53,12 +53,10 @@ from ..datacenter.heterogeneity import (
 from ..errors import SimulationError
 from ..exec import (
     CheckpointStore,
-    FailureReport,
     ResultCache,
     cache_key,
     package_fingerprint,
     run_sharded,
-    split_outcome,
 )
 from ..obs.recorder import active_recorder
 from ..tabular import Table
@@ -206,9 +204,8 @@ def sweep_fleet(
     by its final simulated year's fleet metrics. ``options`` (the
     :class:`repro.exec.ExecOptions` knobs) shard the scenario axis
     through :func:`repro.exec.run_sharded`; the result is
-    element-identical for every configuration. Under
-    ``on_error="skip"`` the return value becomes a ``(Table,
-    FailureReport)`` pair covering only the surviving scenarios.
+    element-identical for every configuration. In skip mode the table
+    covers only the surviving scenarios.
     """
     records = [dict(scenario) for scenario in scenarios]
     if not records:
@@ -638,20 +635,16 @@ def run_sweep(name: str, **options: Any) -> Table:
     ``options`` (the :class:`repro.exec.ExecOptions` knobs) pass to the
     sweep's builder untouched, so a builder given none runs at its
     defaults. They shard the sweep's scenario axis; the table is
-    identical for every setting. Under ``on_error="skip"`` the return
-    value becomes a ``(Table, FailureReport)`` pair.
+    identical for every setting.
     """
     if name not in SWEEPS:
         raise SimulationError(
             f"unknown sweep {name!r}; have {sweep_names()}"
         )
     with active_recorder().span("sweep", name=name, mode="point") as span:
-        result = SWEEPS[name].build(**options)
-        table, _ = split_outcome(result, options.get("on_error", "raise"))
-        rows = getattr(table, "num_rows", None)
-        if rows is not None:
-            span.note(rows=rows)
-        return result
+        table = SWEEPS[name].build(**options)
+        span.note(rows=table.num_rows)
+        return table
 
 
 def run_uncertain_sweep(
@@ -684,10 +677,7 @@ def run_uncertain_sweep(
         "sweep", name=name, mode="uncertain", draws=draws, seed=seed
     ) as span:
         result = spec.build_uncertain(draws, seed, **options)
-        outcome, _ = split_outcome(result, options.get("on_error", "raise"))
-        scenarios = getattr(outcome, "num_scenarios", None)
-        if scenarios is not None:
-            span.note(rows=scenarios * outcome.draws)
+        span.note(rows=result.num_scenarios * result.draws)
         return result
 
 
@@ -699,7 +689,7 @@ def cached_sweep(
     cache: "ResultCache | None" = None,
     resume: bool = False,
     **options: Any,
-) -> "tuple[Any, FailureReport | None, bool]":
+) -> "tuple[Any, bool]":
     """Run one named sweep through the shared result cache.
 
     The one place that decides how a named sweep is keyed,
@@ -716,13 +706,12 @@ def cached_sweep(
     returned as is; on a miss the sweep runs with a
     :class:`~repro.exec.CheckpointStore` under ``cache.directory``
     (``resume`` serves an interrupted run's finished chunks), and its
-    result is cached only when no chunk failed. ``options`` are the
+    result is cached only when no chunk failed — the ``skip`` report,
+    if one was passed, is still empty. ``options`` are the
     :class:`~repro.exec.ExecOptions` knobs.
 
-    Returns ``(result, report, cached)``: the table or uncertain
-    result, the :class:`~repro.exec.FailureReport` of a run under
-    ``on_error="skip"`` (``None`` under ``"raise"`` and on a hit), and
-    whether the result came from the cache.
+    Returns ``(result, cached)``: the table or uncertain result, and
+    whether it came from the cache.
     """
     from ..uncertainty import UncertainResult
 
@@ -735,16 +724,15 @@ def cached_sweep(
         key = cache_key(*parts, package_fingerprint())
         value = cache.get(key)
         if isinstance(value, expected):
-            return value, None, True
+            return value, True
         options["checkpoint"] = CheckpointStore(
             cache.directory, spec_parts=parts, consume=resume
         )
     if draws is None:
-        outcome = run_sweep(name, **options)
+        result = run_sweep(name, **options)
     else:
-        outcome = run_uncertain_sweep(name, draws, seed, **options)
-    result, report = split_outcome(outcome, options.get("on_error", "raise"))
+        result = run_uncertain_sweep(name, draws, seed, **options)
     # A partial result must never be served as the sweep's result.
-    if cache is not None and not report:
+    if cache is not None and not options.get("skip"):
         cache.put(key, result)
-    return result, report, False
+    return result, False

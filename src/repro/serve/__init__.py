@@ -10,7 +10,7 @@ to direct library calls, and wrapped in a resilience envelope — a
 bounded admission queue with 429 load shedding, per-request deadlines
 that forward into :func:`repro.exec.run_sharded`'s timeout machinery,
 a :class:`~repro.serve.breaker.CircuitBreaker` that degrades to
-inline ``on_error="skip"`` execution (responses carry the
+inline skip-mode execution (responses carry the batch's
 :class:`~repro.exec.FailureReport`), and a zero-loss SIGTERM drain.
 ``repro serve`` is the CLI entry point; :class:`ServiceClient` is the
 matching stdlib client.

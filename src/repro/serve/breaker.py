@@ -5,7 +5,7 @@ dying: repeated :class:`BrokenProcessPool` rebuilds and exhausted-chunk
 retries burn latency budget batch after batch. The breaker watches for
 those *infrastructure* failures (a request asking for an unknown sweep
 is not one) and, after ``failure_threshold`` consecutive trips, opens:
-execution switches to the degraded path (inline, ``on_error="skip"``)
+execution switches to the degraded path (inline, skip mode)
 without attempting the primary one. After ``reset_timeout_s`` the
 breaker half-opens and admits a single probe batch; one success closes
 it, one failure re-opens it.

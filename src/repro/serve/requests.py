@@ -31,8 +31,8 @@ Three request kinds exist:
   warm results come from the shared :class:`~repro.exec.ResultCache`.
 
 Executors return one :class:`Response` per request, in request order.
-Degraded execution (``on_error="skip"``) attaches the
-:class:`~repro.exec.FailureReport` to every response it taints and
+Degraded execution (a ``skip`` :class:`~repro.exec.FailureReport` in
+the options) attaches that report to every response it taints and
 turns requests whose rows were lost into structured errors instead of
 silently dropping them.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from ..errors import ReproError, ServiceError
-from ..exec import run_sharded, split_outcome
+from ..exec import run_sharded
 from ..tabular import Table
 
 __all__ = [
@@ -285,7 +285,7 @@ def _rows(table: Table, columns: Sequence[str]) -> list[dict[str, Any]]:
 
 
 def _surviving_indices(total: int, report: Any) -> list[int]:
-    """Request indices whose rows survived an ``on_error="skip"`` run."""
+    """Request indices whose rows survived a skip-mode run."""
     lost: set[int] = set()
     for failure in report.failures:
         lost.update(range(failure.start, failure.stop))
@@ -327,11 +327,11 @@ def _execute_scenarios(
     """One ``simulate_fleet_batch`` call for N scenario requests."""
     bases = _cell_bases()
     records = [request.override_mapping for request in requests]
-    outcome = run_sharded(
+    table = run_sharded(
         _scenario_chunk, (bases.fleet, bases.frame, records), len(records),
         combine=Table.concat, **options,
     )
-    table, report = split_outcome(outcome, options.get("on_error", "raise"))
+    report = options.get("skip")
     rows = _rows(table, table.column_names)
     responses = []
     if report is not None:
@@ -361,8 +361,8 @@ def _execute_portfolio(
     from ..portfolio import sweep_portfolio
 
     records = [request.override_mapping for request in requests]
-    outcome = sweep_portfolio(_cell_bases().catalog, records, **options)
-    table, report = split_outcome(outcome, options.get("on_error", "raise"))
+    table = sweep_portfolio(_cell_bases().catalog, records, **options)
+    report = options.get("skip")
     rows = _rows(table, _PORTFOLIO_COLUMNS)
     # The portfolio shards its *device* axis: a skipped chunk loses
     # devices, not scenarios, so every request keeps a row — computed
@@ -388,10 +388,12 @@ def _execute_sweep(
     from ..scenarios.runner import cached_sweep
 
     spec = requests[0]
-    result, report, cached = cached_sweep(
+    result, cached = cached_sweep(
         spec.sweep_name, spec.draws, spec.seed, cache=cache, resume=True,
         **options,
     )
+    # A cache hit ran nothing, so it carries no report.
+    report = None if cached else options.get("skip")
     table = result if isinstance(result, Table) else result.quantile_table()
     rows = _rows(table, table.column_names)
     return [
@@ -453,7 +455,7 @@ def execute_group(
     """Answer one coalesced batch (equal group keys) with one kernel call.
 
     ``options`` are :class:`repro.exec.ExecOptions` keywords (``jobs``,
-    ``chunk_size``, ``retries``, ``timeout``, ``on_error``), passed to
+    ``chunk_size``, ``retries``, ``timeout``, ``skip``), passed to
     the kernels as given; ``cache`` is the shared
     :class:`~repro.exec.ResultCache` for sweep requests, which also
     holds their chunk checkpoints. Returns one

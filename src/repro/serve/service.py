@@ -19,8 +19,9 @@ Failure behavior is the design center:
 * **Infrastructure failures** (broken pools, exhausted chunk retries,
   integrity failures) feed the breaker; tripped batches — and every
   batch while the breaker is open — rerun on the degraded path
-  (inline, ``on_error="skip"``), so clients get partial answers with
-  the :class:`~repro.exec.FailureReport` attached instead of timeouts.
+  (inline, skip mode with a fresh :class:`~repro.exec.FailureReport`
+  per batch), so clients get partial answers with that report attached
+  instead of timeouts.
 * **Request errors** answer 400: admission checks each cell request's
   own inputs, and a cell batch the kernel still refuses is split in
   halves until the bad request is alone, so only it fails.
@@ -37,6 +38,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from ..errors import ChunkFailedError, ServiceError, SimulationError
+from ..exec import FailureReport
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import _update_metrics, active_recorder
 from .batcher import DrainingError, MicroBatcher, OverloadedError
@@ -272,17 +274,18 @@ class SweepService:
         """The :class:`~repro.exec.ExecOptions` keywords for one batch.
 
         The primary path uses the configured jobs and raises on chunk
-        failure; the degraded path runs inline with skip-and-report
-        semantics. The tightest of the batch budget and ``timeout_s``
-        becomes the per-chunk timeout only when ``jobs > 1``: inline
-        chunks cannot be cancelled.
+        failure; the degraded path runs inline in skip mode, collecting
+        this batch's skipped chunks in a fresh
+        :class:`~repro.exec.FailureReport`. The tightest of the batch
+        budget and ``timeout_s`` becomes the per-chunk timeout only when
+        ``jobs > 1``: inline chunks cannot be cancelled.
         """
         jobs = 1 if degraded else self.config.jobs
         options: dict[str, Any] = {
             "jobs": jobs,
             "chunk_size": self.config.chunk_size,
             "retries": self.config.retries or None,
-            "on_error": "skip" if degraded else "raise",
+            "skip": FailureReport() if degraded else None,
         }
         budgets = [
             value

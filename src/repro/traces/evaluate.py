@@ -270,9 +270,8 @@ def evaluate_policies(
     trace. Rows come back in (trace, workload, policy) order.
     ``options`` (the :class:`repro.exec.ExecOptions` knobs) shard the
     *trace* axis through :func:`repro.exec.run_sharded`; results are
-    element-identical for every configuration. Under
-    ``on_error="skip"`` the return value becomes a ``(Table,
-    FailureReport)`` pair covering the surviving trace chunks.
+    element-identical for every configuration. In skip mode the table
+    covers the surviving trace chunks.
     """
     trace_list = _normalize_traces(traces)
     workload_list = _normalize_workloads(workloads)

@@ -236,3 +236,22 @@ def test_runner_validates_execution_knobs_through_exec_options(runner):
         call(jobz=2)
     with pytest.raises(ExecutionError, match="a per-chunk timeout needs jobs > 1"):
         call(timeout=1.0, jobs=1)
+
+
+@pytest.mark.parametrize("runner", _RUNNERS)
+def test_runner_returns_one_type_whatever_the_failure_mode(runner):
+    # Skip mode fills a caller-owned report; it never changes the
+    # return type, and the retired on_error knob is a misspelt one.
+    from repro.errors import ExecutionError
+    from repro.exec import FailureReport
+
+    call = _runner_calls()[runner]
+    report = FailureReport()
+    skipped = call(skip=report)
+    assert type(skipped) is type(call())
+    assert not isinstance(skipped, tuple)
+    assert not report and report.failures == []
+    with pytest.raises(ExecutionError, match="skip must be a FailureReport"):
+        call(skip="skip")
+    with pytest.raises(TypeError, match="on_error"):
+        call(on_error="skip")

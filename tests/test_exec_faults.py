@@ -233,13 +233,14 @@ class TestInlineRecovery:
 
     def test_skip_mode_returns_partial_and_report(self):
         spec = FaultSpec(rules=(FaultRule(kind="raise", starts=(5,), attempts=None),))
-        result, report = run_sharded(
+        report = FailureReport()
+        result = run_sharded(
             _square_chunk,
             _PAYLOAD,
             _PLAN.num_scenarios,
             chunk_size=_PLAN.chunk_size,
             combine=_flat,
-            on_error="skip",
+            skip=report,
             faults=spec,
         )
         assert result == [v * v for v in _PAYLOAD[:5] + _PAYLOAD[10:]]
@@ -252,9 +253,10 @@ class TestInlineRecovery:
         assert payload["failures"][0]["start"] == 5
 
     def test_skip_mode_with_no_failures_reports_clean(self):
-        result, report = run_sharded(
+        report = FailureReport()
+        result = run_sharded(
             _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
-            chunk_size=_PLAN.chunk_size, combine=_flat, on_error="skip"
+            chunk_size=_PLAN.chunk_size, combine=_flat, skip=report
         )
         assert result == _EXPECTED
         assert not report and report.num_completed == 4
@@ -262,6 +264,7 @@ class TestInlineRecovery:
 
     def test_all_chunks_failed_raises_even_in_skip_mode(self):
         spec = FaultSpec(rules=(FaultRule(kind="raise", starts=None, attempts=None),))
+        report = FailureReport()
         with pytest.raises(ChunkFailedError):
             run_sharded(
                 _square_chunk,
@@ -269,15 +272,29 @@ class TestInlineRecovery:
                 _PLAN.num_scenarios,
                 chunk_size=_PLAN.chunk_size,
                 combine=_flat,
-                on_error="skip",
+                skip=report,
                 faults=spec,
             )
+        # The report is filled before the run raises.
+        assert report.num_failed == 4 and report.num_chunks == 4
+        assert report.shard_ranges() == [(0, 5), (5, 10), (10, 15), (15, 20)]
+
+    def test_one_report_collects_across_runs(self):
+        spec = FaultSpec(rules=(FaultRule(kind="raise", starts=(5,), attempts=None),))
+        report = FailureReport()
+        for _ in range(2):
+            run_sharded(
+                _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                chunk_size=_PLAN.chunk_size, skip=report, faults=spec,
+            )
+        assert report.num_chunks == 8 and report.num_completed == 6
+        assert report.shard_ranges() == [(5, 10), (5, 10)]
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ExecutionError):
             run_sharded(
                 _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
-                chunk_size=_PLAN.chunk_size, on_error="ignore",
+                chunk_size=_PLAN.chunk_size, skip="ignore",
             )
         with pytest.raises(ExecutionError):
             run_sharded(
@@ -362,7 +379,8 @@ class TestPoolRecovery:
         spec = FaultSpec(
             rules=(FaultRule(kind="hang", starts=(5,), attempts=None, seconds=30.0),)
         )
-        result, report = run_sharded(
+        report = FailureReport()
+        result = run_sharded(
             _square_chunk,
             _PAYLOAD,
             _PLAN.num_scenarios,
@@ -370,7 +388,7 @@ class TestPoolRecovery:
             jobs=2,
             combine=_flat,
             timeout=0.3,
-            on_error="skip",
+            skip=report,
             faults=spec,
         )
         assert result == [v * v for v in _PAYLOAD[:5] + _PAYLOAD[10:]]

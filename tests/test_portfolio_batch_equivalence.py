@@ -21,7 +21,13 @@ import pytest
 
 from repro.analysis.uncertainty import LogNormal, Triangular, is_distribution
 from repro.errors import SimulationError
-from repro.exec import FaultRule, FaultSpec, ShardPlan, install_faults
+from repro.exec import (
+    FailureReport,
+    FaultRule,
+    FaultSpec,
+    ShardPlan,
+    install_faults,
+)
 from repro.portfolio import (
     DEVICE_METRICS,
     DeviceSpec,
@@ -268,9 +274,10 @@ class TestSweepPortfolioEquivalence:
         spec = FaultSpec(
             rules=(FaultRule(kind="raise", starts=(0,), attempts=None),)
         )
+        report = FailureReport()
         with install_faults(spec):
-            partial, report = sweep_portfolio(
-                _CATALOG, _GRID, chunk_size=4, retries=0, on_error="skip"
+            partial = sweep_portfolio(
+                _CATALOG, _GRID, chunk_size=4, retries=0, skip=report
             )
         assert report.num_failed == 1
         # Devices 4..7 survive: their aggregates are a 4-device fleet.

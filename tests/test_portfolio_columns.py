@@ -225,6 +225,7 @@ _OVERSIZED = (
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestErrorLocation:
     def _assert_same_error(self, records, catalog=_CATALOG):
         expected = _oracle_error(catalog, records)

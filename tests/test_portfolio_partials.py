@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.uncertainty import Triangular
-from repro.exec import FaultRule, FaultSpec, install_faults
+from repro.exec import FailureReport, FaultRule, FaultSpec, install_faults
 from repro.portfolio import (
     default_catalog,
     sweep_portfolio,
@@ -196,11 +196,11 @@ class TestChunkMemoryBound:
 
 class TestSkipMode:
     def test_point_sweep_aggregates_surviving_devices(self):
+        report = FailureReport()
         with install_faults(_SKIP_FAULT):
-            result = sweep_portfolio(
-                _CATALOG, _GRID, chunk_size=3, retries=0, on_error="skip"
+            table = sweep_portfolio(
+                _CATALOG, _GRID, chunk_size=3, retries=0, skip=report
             )
-        table, report = result
         assert report.num_failed == 1
         survivors = sweep_portfolio(_CATALOG[:3] + _CATALOG[6:], _GRID)
         assert table.column_names == survivors.column_names
@@ -211,10 +211,11 @@ class TestSkipMode:
         grid = ScenarioGrid(
             **{"node_shift": [0.0, 2.0], "lifetime_scale": [Triangular(0.8, 1.0, 1.4)]}
         )
+        report = FailureReport()
         with install_faults(_SKIP_FAULT):
-            result, report = sweep_portfolio_uncertain(
+            result = sweep_portfolio_uncertain(
                 _CATALOG, grid, draws=5, seed=2, chunk_size=3, retries=0,
-                on_error="skip",
+                skip=report,
             )
         assert report.num_failed == 1
         survivors = sweep_portfolio_uncertain(

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExecutionError, ExperimentError
-from repro.exec import FaultRule, FaultSpec, install_faults
+from repro.exec import FailureReport, FaultRule, FaultSpec, install_faults
 from repro.experiments import (
     EXPERIMENT_IDS,
     clear_result_cache,
@@ -54,7 +54,9 @@ def test_retried_driver_recovers_every_result(clean, jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_skip_leaves_out_exactly_the_exhausted_driver(clean, jobs):
     with install_faults(_raise_on(None)):
-        results = run_all(cache=False, jobs=jobs, retries=1, on_error="skip")
+        results = run_all(
+            cache=False, jobs=jobs, retries=1, skip=FailureReport()
+        )
     kept = [eid for eid in EXPERIMENT_IDS if eid != _VICTIM]
     _assert_equal(results, clean, kept)
 
@@ -75,7 +77,9 @@ def test_hung_driver_is_skipped_after_its_timeout(clean):
         )
     )
     with install_faults(spec):
-        results = run_all(cache=False, jobs=2, timeout=0.5, on_error="skip")
+        results = run_all(
+            cache=False, jobs=2, timeout=0.5, skip=FailureReport()
+        )
     kept = [eid for eid in EXPERIMENT_IDS if eid != _VICTIM]
     _assert_equal(results, clean, kept)
 
@@ -92,7 +96,7 @@ def test_skip_with_a_single_pending_driver_returns_the_warm_rest():
             rules=(FaultRule(kind="raise", starts=(0,), attempts=None),)
         )
         with install_faults(spec):
-            results = run_all(on_error="skip")
+            results = run_all(skip=FailureReport())
         assert list(results) == list(EXPERIMENT_IDS[1:])
     finally:
         clear_result_cache()

@@ -604,8 +604,7 @@ def _expected_scenario_row(overrides):
 
 
 class TestExecuteGroup:
-    OPTIONS = {"jobs": 1, "chunk_size": None, "retries": None,
-               "on_error": "raise"}
+    OPTIONS = {"jobs": 1, "chunk_size": None, "retries": None, "skip": None}
 
     def test_empty_batch_is_legal(self):
         assert execute_group([], options=self.OPTIONS) == []

@@ -36,7 +36,7 @@ from repro.serve.requests import validate_overrides
 from test_serve import _expected_scenario_row as _direct_scenario_row
 from test_serve import run_service
 
-OPTIONS = {"jobs": 1, "chunk_size": None, "retries": None, "on_error": "raise"}
+OPTIONS = {"jobs": 1, "chunk_size": None, "retries": None, "skip": None}
 
 
 def _direct_portfolio_row(overrides, columns):

@@ -25,6 +25,7 @@ from repro.analysis.uncertainty import LogNormal, Normal
 from repro.errors import ChunkFailedError, ExecutionError
 from repro.exec import (
     CheckpointStore,
+    FailureReport,
     FaultRule,
     FaultSpec,
     Shard,
@@ -399,10 +400,9 @@ class TestFaultInjectedEquivalence:
         spec = FaultSpec(
             rules=(FaultRule(kind="raise", starts=(4,), attempts=None),)
         )
+        report = FailureReport()
         with install_faults(spec):
-            partial, report = sweep_fleet(
-                _BASE, _FLEET_GRID, chunk_size=4, on_error="skip"
-            )
+            partial = sweep_fleet(_BASE, _FLEET_GRID, chunk_size=4, skip=report)
         assert report.shard_ranges() == [(4, 8)]
         assert report.skipped_scenarios() == 4
         kept = [i for i in range(15) if not 4 <= i < 8]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec import (
+    FailureReport,
     FaultRule,
     FaultSpec,
     ResultCache,
@@ -24,7 +25,7 @@ _SWEEP = "fleet_growth_lifetime"
 _FIRST_CHUNK_FAILS = FaultSpec(
     rules=(FaultRule(kind="raise", starts=(0,), attempts=None),)
 )
-_SERVE_SKIP = {"jobs": 1, "chunk_size": 4, "on_error": "skip"}
+_SERVE_OPTIONS = {"jobs": 1, "chunk_size": 4}
 
 
 def _whole_run_entry(directory):
@@ -44,7 +45,9 @@ def _cli(directory):
 
 def _serve(cache):
     request = parse_request("sweep", {"name": _SWEEP})
-    return execute_group([request], options=_SERVE_SKIP, cache=cache)[0]
+    # Serve's degraded path: a fresh skip report per batch.
+    options = {**_SERVE_OPTIONS, "skip": FailureReport()}
+    return execute_group([request], options=options, cache=cache)[0]
 
 
 def test_cli_never_caches_a_partial_sweep(tmp_path, capsys, first_chunk_fails):
