@@ -162,6 +162,9 @@ class FleetBatchResult:
     ``years`` are zero and excluded by :meth:`valid_mask`. Values are
     element-identical to what :func:`simulate_fleet` produces for the
     same :class:`FleetParameters` (pinned by the equivalence tests).
+    :func:`simulate_fleet_batch` stores them year-major: each field is
+    the transposed view of a ``(horizon, scenarios)`` array, so indexing
+    is unchanged but the arrays are Fortran-ordered.
     """
 
     start_years: np.ndarray
@@ -188,21 +191,18 @@ class FleetBatchResult:
 
     def capex_to_opex_market(self) -> np.ndarray:
         """Per-cell capex/market-opex ratio (inf at zero market opex)."""
-        with np.errstate(divide="ignore"):
-            return np.where(
-                self.opex_market_grams == 0.0,
-                np.inf,
-                self.capex_grams / np.where(
-                    self.opex_market_grams == 0.0, 1.0, self.opex_market_grams
-                ),
-            )
+        return _capex_to_opex(self.capex_grams, self.opex_market_grams)
 
     def capex_fraction_market(self) -> np.ndarray:
         """Per-cell capex share of the market-based total footprint."""
+        return _capex_fraction(self.capex_grams, self._market_totals())
+
+    def _market_totals(self) -> np.ndarray:
+        """Per-cell capex + market opex; raises if a simulated one is zero."""
         total = self.capex_grams + self.opex_market_grams
         if np.any((total == 0.0) & self.valid_mask()):
             raise SimulationError("zero total footprint; fraction undefined")
-        return self.capex_grams / np.where(total == 0.0, 1.0, total)
+        return total
 
     def reports(self, scenario: int) -> list[FleetYearReport]:
         """Reconstruct one scenario as scalar :class:`FleetYearReport`s."""
@@ -251,9 +251,16 @@ class FleetBatchResult:
         )
 
     def final_year_table(self) -> Table:
-        """One row per scenario: its last simulated year."""
+        """One row per scenario: its last simulated year.
+
+        The ratio columns are computed on the final year only, but a
+        zero total footprint in *any* simulated year still raises, as
+        :meth:`capex_fraction_market` does.
+        """
         rows = np.arange(self.num_scenarios)
         last = self.years - 1
+        capex = self.capex_grams[rows, last]
+        opex_market = self.opex_market_grams[rows, last]
         return Table(
             {
                 "scenario": rows,
@@ -261,13 +268,27 @@ class FleetBatchResult:
                 "servers": self.servers[rows, last],
                 "energy_gwh": self.energy_joules[rows, last] / JOULES_PER_KWH / 1e6,
                 "opex_location_kt": self.opex_location_grams[rows, last] / 1e6 / 1e3,
-                "opex_market_kt": self.opex_market_grams[rows, last] / 1e6 / 1e3,
-                "capex_kt": self.capex_grams[rows, last] / 1e6 / 1e3,
+                "opex_market_kt": opex_market / 1e6 / 1e3,
+                "capex_kt": capex / 1e6 / 1e3,
                 "coverage": self.renewable_coverage[rows, last],
-                "capex_fraction_market": self.capex_fraction_market()[rows, last],
-                "capex_to_opex_market": self.capex_to_opex_market()[rows, last],
+                "capex_fraction_market": _capex_fraction(
+                    capex, self._market_totals()[rows, last]
+                ),
+                "capex_to_opex_market": _capex_to_opex(capex, opex_market),
             }
         )
+
+
+def _capex_to_opex(capex: np.ndarray, opex_market: np.ndarray) -> np.ndarray:
+    """Elementwise capex/market-opex ratio, inf where market opex is zero."""
+    zero = opex_market == 0.0
+    with np.errstate(divide="ignore"):
+        return np.where(zero, np.inf, capex / np.where(zero, 1.0, opex_market))
+
+
+def _capex_fraction(capex: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Elementwise capex share of ``total``; a zero total divides by one."""
+    return capex / np.where(total == 0.0, 1.0, total)
 
 
 #: The kernel's per-cell inputs that a sweep may replace: dotted
@@ -368,11 +389,14 @@ class FleetFrame:
         cls,
         scenarios: Sequence[FleetParameters],
         embodied: EmbodiedModel | None = None,
+        where: "Callable[[int], str] | None" = None,
     ) -> "FleetFrame":
         """Gather one cell per :class:`FleetParameters`.
 
         Embodied carbon is computed once per distinct bill of materials,
-        which ``dataclasses.replace``-derived SKU variants share.
+        which ``dataclasses.replace``-derived SKU variants share. A
+        count that truncates below one raises, naming its cell by
+        ``where(cell)`` (default ``"scenario {index}"``).
         """
         if not scenarios:
             raise SimulationError("need at least one scenario")
@@ -396,7 +420,7 @@ class FleetFrame:
         schedule = [_portfolio_schedule(ramp, width) for ramp in ramps.values()]
         frame = cls(columns, np.stack(schedule, axis=1))
         # Float-valued counts pass their dataclass checks but truncate.
-        frame._check(("initial_servers", "years"), "scenario {}".format)
+        frame._check(("initial_servers", "years"), where or "scenario {}".format)
         return frame
 
     def repeat(self, count: int) -> "FleetFrame":
@@ -490,12 +514,13 @@ def simulate_fleet_batch(
     per_server = column["per_server_grams"]
     ramp, last_year = column["ramp"], frame.schedule.shape[2] - 1
 
-    # FleetBatchResult's per-year fields, in order, written for the cells
-    # still simulating so the rest stay zero. Servers added doubles as the
+    # FleetBatchResult's per-year fields, in order, stored year-major:
+    # each year writes one contiguous row, only for the cells still
+    # simulating, so the rest stay zero. Servers added doubles as the
     # purchase history: a cell only retires cohorts from years it simulated.
-    fields = [np.zeros((count, horizon), dtype=np.int64) for _ in range(2)]
-    fields += [np.zeros((count, horizon)) for _ in range(5)]
-    history, offsets = fields[1].reshape(-1), np.arange(count) * horizon
+    fields = [np.zeros((horizon, count), dtype=np.int64) for _ in range(2)]
+    fields += [np.zeros((horizon, count)) for _ in range(5)]
+    history, cells = fields[1].reshape(-1), np.arange(count)
     fleet = initial
     for index in range(horizon):
         active = index < years
@@ -508,7 +533,7 @@ def simulate_fleet_batch(
             retire_from = index - lifetime
             retired = np.where(
                 retire_from >= 0,
-                history.take(offsets + np.maximum(retire_from, 0)),
+                history.take(np.maximum(retire_from, 0) * count + cells),
                 0,
             )
             bought = (grown - fleet) + retired
@@ -539,5 +564,7 @@ def simulate_fleet_batch(
             year_capex, year_coverage,
         )
         for out, value in zip(fields, values):
-            np.copyto(out[:, index], value, where=active)
-    return FleetBatchResult(column["start_year"].astype(np.int64), years, *fields)
+            np.copyto(out[index], value, where=active)
+    return FleetBatchResult(
+        column["start_year"].astype(np.int64), years, *(out.T for out in fields)
+    )

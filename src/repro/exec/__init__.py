@@ -25,6 +25,9 @@ and keeps long runs alive when workers raise, crash, or hang:
 * :class:`FaultSpec` — deterministic fault injection (env var
   ``REPRO_FAULTS`` or API) for exercising every recovery path in CI
   without flaky timing.
+* :func:`~repro.exec.heap.apply_heap_policy` — one glibc heap policy
+  per process, applied by :func:`run_sharded` and each pool worker, so
+  a chunk's freed arrays are reused instead of re-faulted.
 * :class:`ResultCache` — a content-addressed on-disk cache (keyed by
   the ``repro`` source fingerprint plus the sweep/experiment spec)
   shared by ``repro run`` and ``repro sweep`` across processes, so

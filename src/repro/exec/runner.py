@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..errors import ChunkFailedError, CorruptChunkError, ExecutionError
 from ..obs.recorder import active_recorder
 from .faults import FaultSpec, active_fault_spec, corrupt_bytes, perform_fault
+from .heap import apply_heap_policy
 from .options import ExecOptions
 from .plan import Shard, ShardPlan
 from .retry import ChunkFailure, RetryPolicy
@@ -148,7 +149,10 @@ def _worker_init(
     ``telemetry`` mirrors whether the driver has a live recorder: when
     set, each chunk ships its timing and peak-RSS events back in the
     result envelope; when clear, workers build no telemetry at all.
+    Each worker applies the process heap policy
+    (:func:`~repro.exec.heap.apply_heap_policy`) before its first chunk.
     """
+    apply_heap_policy()
     _WORKER_STATE["kernel"] = resolve_kernel(name)
     _WORKER_STATE["payload"] = payload
     _WORKER_STATE["faults"] = faults
@@ -652,6 +656,11 @@ def run_sharded(
       :class:`~repro.exec.faults.FaultSpec`; defaults to whatever
       :func:`~repro.exec.faults.active_fault_spec` resolves (installed
       spec, then the ``REPRO_FAULTS`` environment variable).
+
+    The process that runs the chunks (the caller for inline chunks,
+    each worker otherwise) applies the process heap policy once
+    (:func:`~repro.exec.heap.apply_heap_policy`), so freed chunk arrays
+    are reused by the next chunk or call.
     """
     options = ExecOptions(**options)
     plan = ShardPlan.plan(size, options.chunk_size, options.jobs)
@@ -684,6 +693,7 @@ def run_sharded(
 
         failures: list[_ShardFailure] = []
         if jobs == 1 or (len(shards) == 1 and timeout is None):
+            apply_heap_policy()
             for shard in to_run:
                 chunk, failure = _run_chunk_inline(
                     kernel, payload, shard, retry=retry, spec=spec

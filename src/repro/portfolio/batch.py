@@ -99,8 +99,10 @@ def _device_columns(specs: Sequence[DeviceSpec]) -> tuple:
         dtype=np.float64,
         count=len(specs) * len(_NUMERIC_FIELDS),
     ).reshape(len(specs), -1)
+    # Comprehensions over plain attribute loads beat attrgetter maps
+    # here; numpy converts the node indices to float itself.
     node_axis = np.array(
-        [float(_NODE_INDEX[spec.node]) for spec in specs], dtype=np.float64
+        [_NODE_INDEX[spec.node] for spec in specs], dtype=np.float64
     ).reshape(-1, 1)
     murphy_mask = np.array(
         [spec.yield_model == "murphy" for spec in specs], dtype=bool

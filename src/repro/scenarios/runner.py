@@ -145,6 +145,7 @@ def fleet_scenario_frame(
     base_frame: FleetFrame,
     records: Sequence[Mapping[str, Any]],
     embodied: EmbodiedModel | None = None,
+    first: int = 0,
 ) -> FleetFrame:
     """The kernel frame of ``base`` under each override record, in order.
 
@@ -157,13 +158,20 @@ def fleet_scenario_frame(
     gathered through :func:`apply_overrides` and
     :meth:`FleetFrame.from_parameters`. Either way the frame simulates
     exactly as ``[apply_overrides(base, record) for record in
-    records]`` does.
+    records]`` does. A rejected value names its scenario as
+    ``first`` plus its position in ``records``, so a chunk of a larger
+    sweep passes its offset and reports the global index.
     """
     if not records:
         raise SimulationError("need at least one scenario")
+
+    def where(index: int) -> str:
+        return f"scenario {first + index}"
+
     if not all(map(_swappable, records)):
         return FleetFrame.from_parameters(
-            [apply_overrides(base, record) for record in records], embodied
+            [apply_overrides(base, record) for record in records], embodied,
+            where,
         )
     paths = dict.fromkeys(path for record in records for path in record)
     values = {
@@ -173,9 +181,7 @@ def fleet_scenario_frame(
         )
         for path in paths
     }
-    return base_frame.repeat(len(records)).with_paths(
-        values, where="scenario {}".format
-    )
+    return base_frame.repeat(len(records)).with_paths(values, where)
 
 
 def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
@@ -187,7 +193,7 @@ def _fleet_chunk(payload: tuple, start: int, stop: int) -> Table:
     """
     base, base_frame, records, embodied, keep = payload
     chunk = records[start:stop]
-    frame = fleet_scenario_frame(base, base_frame, chunk, embodied)
+    frame = fleet_scenario_frame(base, base_frame, chunk, embodied, start)
     final = simulate_fleet_batch(frame).final_year_table()
     return _attach_axes(chunk, final, keep=keep)
 

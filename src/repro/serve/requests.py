@@ -303,7 +303,7 @@ def _scenario_chunk(payload: tuple, start: int, stop: int) -> Table:
     from ..scenarios.runner import fleet_scenario_frame
 
     base, frame, records = payload
-    cells = fleet_scenario_frame(base, frame, records[start:stop])
+    cells = fleet_scenario_frame(base, frame, records[start:stop], first=start)
     return simulate_fleet_batch(cells).final_year_table().drop("scenario")
 
 

@@ -184,7 +184,9 @@ def _fleet_uncertain_chunk(payload: tuple, start: int, stop: int) -> UncertainRe
         for record in chunk
     ]
     scenario_bases = [apply_overrides(base, values) for values in fixed]
-    frame = FleetFrame.from_parameters(scenario_bases, embodied).repeat(draws)
+    frame = FleetFrame.from_parameters(
+        scenario_bases, embodied, where=lambda cell: f"scenario {start + cell}"
+    ).repeat(draws)
     frame = frame.with_paths(
         {name: matrix.values[name].reshape(-1) for name in matrix.names},
         where=lambda cell: f"scenario {start + cell // draws}, draw {cell % draws}",

@@ -176,6 +176,26 @@ class TestBatchDerived:
         assert scalar[0].capex_to_opex_market == math.inf
         _assert_reports_identical(scalar, batch.reports(0))
 
+    def test_final_year_table_rejects_an_earlier_zero_total_year(self):
+        # No growth, no construction carbon and a zero-carbon grid: the
+        # years between purchases (1 and 2) have zero capex and zero
+        # market opex, while the final year re-buys the retired cohort.
+        params = _params(
+            annual_growth=0.0,
+            server=_short_lived_server(3.0),
+            years=4,
+            facility=Facility("dc", pue=1.1, construction_carbon=Carbon(0.0)),
+            location_intensity=US_GRID.intensity * 0.0,
+        )
+        reports = simulate_fleet(params)
+        assert reports[-1].capex_fraction_market == 1.0
+        with pytest.raises(SimulationError, match="zero total footprint"):
+            reports[1].capex_fraction_market
+        batch = simulate_fleet_batch([params])
+        assert batch.capex_grams[0, -1] > 0.0
+        with pytest.raises(SimulationError, match="zero total footprint"):
+            batch.final_year_table()
+
     def test_to_table_matches_scalar_unit_conversions(self):
         params = _params(renewable_ramp={1: _portfolio(200.0)})
         table = simulate_fleet_batch([params]).to_table()

@@ -207,6 +207,12 @@ class TestFrameValidation:
         # Chunks of one scenario: the second chunk still says "scenario 1".
         with pytest.raises(SimulationError, match=r"^scenario 1, draw 0: facility"):
             sweep_fleet_uncertain(_BASE, records, draws=3, chunk_size=1)
+        # A fixed count that truncates to zero is caught at the gather.
+        records = [{**record, "years": years}
+                   for record, years in zip(records, (3, 0.5))]
+        records[1]["facility.pue"] = Uniform(1.0, 1.2)
+        with pytest.raises(SimulationError, match=r"^scenario 1: years = 0.5"):
+            sweep_fleet_uncertain(_BASE, records, draws=3, chunk_size=1)
 
     def test_undrawable_path_lists_the_drawable_ones(self):
         records = [{"server.bill.dram_gb": Uniform(64.0, 512.0)}]
@@ -333,6 +339,26 @@ class TestScenarioFrame:
                    {"facility.pue": 0.9}]
         with pytest.raises(SimulationError, match=r"^scenario 2: facility.pue"):
             fleet_scenario_frame(_BASE, _BASE_FRAME, records)
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"facility.pue": 1.2}] * 5 + [{"facility.pue": 0.5}],
+            [{"facility.name": "dc", "years": 3}] * 5
+            + [{"facility.name": "dc", "years": 0.5}],
+        ],
+        ids=["swapped", "gathered"],
+    )
+    def test_sharded_sweep_error_names_the_global_scenario(self, records):
+        # The trailing "(k of n cells break it)" counts the raising
+        # chunk's cells; everything before it must not depend on chunking.
+        messages = []
+        for options in ({}, {"chunk_size": 2}, {"chunk_size": 2, "jobs": 2}):
+            with pytest.raises(SimulationError) as raised:
+                sweep_fleet(_BASE, records, **options)
+            messages.append(str(raised.value).split(" (")[0])
+        assert messages[0].startswith("scenario 5: ")
+        assert messages == [messages[0]] * 3
 
     @pytest.mark.parametrize("path", DRAWABLE_PATHS)
     def test_with_paths_rejects_what_the_dataclasses_reject(self, path):
