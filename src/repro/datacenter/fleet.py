@@ -471,8 +471,8 @@ class FleetFrame:
             if bad.size:
                 raise SimulationError(
                     f"{where(int(bad[0]))}: {path} = "
-                    f"{self.columns[path][bad[0]].item()!r} must be {requirement} "
-                    f"({bad.size} of {self.num_cells} cells break it)"
+                    f"{self.columns[path][bad[0]].item()!r} "
+                    f"must be {requirement}"
                 )
 
 

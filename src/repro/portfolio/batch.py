@@ -9,12 +9,15 @@ arithmetic *operation for operation* — including the unit round-trips
 of a batch result is bit-identical to the corresponding scalar call.
 ``tests/test_portfolio_batch_equivalence.py`` pins that contract.
 
-Parameters are laid out as broadcastable 2-D arrays: device-varying
-columns are ``(devices, 1)`` and scenario-varying overrides are
-``(1, cells)``. Each stage of the model runs on the *distinct columns*
-of the scenario fields it reads (:class:`_ColumnLayout`), so a
-4 × 4 × 4 grid prices fab and yield on 16 columns and lifetime on 4,
-and only quantities that combine stages are gathered wider.
+Parameters are laid out as broadcastable 2-D arrays, device-minor:
+device-varying parameters are ``(1, devices)`` rows and
+scenario-varying overrides are ``(cells, 1)`` columns, so every stage
+array is ``(columns, devices)`` and numpy's inner loops run along the
+long, contiguous device axis. Each stage of the model runs on the
+*distinct columns* of the scenario fields it reads
+(:class:`_ColumnLayout`), so a 4 × 4 × 4 grid prices fab and yield on
+16 columns and lifetime on 4, and only quantities that combine stages
+are gathered wider.
 """
 
 from __future__ import annotations
@@ -88,9 +91,10 @@ def _device_columns(specs: Sequence[DeviceSpec]) -> tuple:
 
     Returns ``(numeric, node_axis, murphy_mask, names)``: a ``(devices,
     fields)`` matrix of the numeric fields, ``(devices, 1)`` node and
-    yield-model columns, and the device names. Slicing all four by one
+    yield-model arrays, and the device names. Slicing all four by one
     row range gives a sub-catalog, so sharded sweeps gather once and
-    ship arrays to their chunks instead of :class:`DeviceSpec` objects.
+    ship arrays to their chunks instead of :class:`DeviceSpec` objects;
+    :func:`_parameter_grid` turns a slice into ``(1, devices)`` rows.
     """
     if not specs:
         raise SimulationError("need at least one device in the portfolio")
@@ -115,11 +119,11 @@ def _parameter_grid(
     records: Sequence[Mapping[str, Any]],
     matrix: Any = None,
 ) -> tuple:
-    """Broadcastable parameter arrays for (devices × scenario cells).
+    """Broadcastable parameter arrays for (scenario cells × devices).
 
     ``columns`` is (a row slice of) :func:`_device_columns` output.
-    Device columns come out ``(devices, 1)``; scenario-record overrides
-    replace them with ``(1, cells)`` rows, where ``cells`` is
+    Device parameters come out as ``(1, devices)`` rows; scenario-record
+    overrides replace them with ``(cells, 1)`` columns, where ``cells`` is
     ``scenarios`` for point sweeps or ``scenarios × draws`` when a
     :class:`~repro.uncertainty.draws.DrawMatrix` is supplied (its
     sampled rows flatten scenario-major, draw-minor — the shared axis
@@ -130,10 +134,12 @@ def _parameter_grid(
         raise SimulationError("need at least one scenario")
     draws = matrix.draws if matrix is not None else 1
     numeric, node_axis, murphy_mask, names = columns
-    # Contiguous (devices, 1) columns: strided views slow small kernels.
+    # Contiguous (1, devices) rows: strided views slow the kernels.
     params = dict(
-        zip(_NUMERIC_FIELDS, np.ascontiguousarray(numeric.T)[..., None])
+        zip(_NUMERIC_FIELDS, np.ascontiguousarray(numeric.T)[:, None, :])
     )
+    node_axis = node_axis.reshape(1, -1)
+    murphy_mask = murphy_mask.reshape(1, -1)
     scenario_fields: set[str] = set()
     for name in records[0]:
         if name not in OVERRIDABLE_FIELDS:
@@ -147,10 +153,10 @@ def _parameter_grid(
                 [float(_node_index(record[name])) for record in records],
                 dtype=np.float64,
             )
-            node_axis = np.repeat(indices, draws).reshape(1, -1)
+            node_axis = np.repeat(indices, draws).reshape(-1, 1)
             continue
         if matrix is not None and name in matrix.values:
-            params[name] = matrix.values[name].reshape(1, -1)
+            params[name] = matrix.values[name].reshape(-1, 1)
             continue
         values = []
         for index, record in enumerate(records):
@@ -163,7 +169,7 @@ def _parameter_grid(
             values.append(float(value))
         params[name] = np.repeat(
             np.array(values, dtype=np.float64), draws
-        ).reshape(1, -1)
+        ).reshape(-1, 1)
     return params, node_axis, murphy_mask, names, scenario_fields
 
 
@@ -175,9 +181,13 @@ def _complain(
     scenario_fields: "set[str]",
     what: str,
 ) -> None:
-    """Raise for the first violating cell, naming device or scenario."""
-    device, cell = (int(index) for index in np.argwhere(mask)[0])
-    value = array[device, cell] if array.ndim == 2 else array[device]
+    """Raise for the first violating cell, naming device or scenario.
+
+    ``mask`` and ``array`` are ``(cells, devices)``-broadcastable; the
+    first violation is taken device-major, as the scalar path meets it.
+    """
+    device, cell = (int(index) for index in np.argwhere(mask.T)[0])
+    value = array.T[device, cell]
     if field in scenario_fields:
         raise SimulationError(
             f"portfolio scenario cell {cell}: {field} {what}, got {value!r}"
@@ -357,13 +367,14 @@ class _ColumnLayout:
 
     A stage that reads fields ``F`` is evaluated once per distinct
     column of the scenario fields in ``F`` (all cells share one column
-    when ``F`` holds none). :meth:`columns` returns ``(first,
-    inverse)``: the first cell of each distinct column, in order of
-    appearance, and the column of every cell. Columns are keyed on the
-    values' ``uint64`` bit patterns, so ``-0.0`` never merges with
-    ``0.0``, and each element of a stage comes from the same float
-    operations on the same inputs as in the full ``(devices, cells)``
-    broadcast.
+    when ``F`` holds none), as a ``(columns, devices)`` array: one row
+    per distinct column, devices along the contiguous inner axis.
+    :meth:`columns` returns ``(first, inverse)``: the first cell of each
+    distinct column, in order of appearance, and the column of every
+    cell. Columns are keyed on the values' ``uint64`` bit patterns, so
+    ``-0.0`` never merges with ``0.0``, and each element of a stage
+    comes from the same float operations on the same inputs as in the
+    full ``(cells, devices)`` broadcast.
     """
 
     def __init__(
@@ -408,7 +419,7 @@ class _ColumnLayout:
 
         def read(name: str) -> np.ndarray:
             value = self._params[name]
-            return value[:, first] if gather and name in self._keys else value
+            return value[first] if gather and name in self._keys else value
 
         return read
 
@@ -424,24 +435,25 @@ class _ColumnLayout:
         the source's: equal column counts mean equal columns in equal
         order, and a single source column broadcasts.
         """
-        if values.shape[1] == 1:
+        if len(values) == 1:
             return values
         first, _ = self.columns(target)
-        if values.shape[1] == len(first):
+        if len(values) == len(first):
             return values
-        return values[:, self.columns(source)[1][first]]
+        return values[self.columns(source)[1][first]]
 
     def spread(
         self, values: np.ndarray, fields: frozenset, rows: int
     ) -> np.ndarray:
         """``values`` on the columns of ``fields``, as ``(rows, cells)``.
 
-        A single column (the values read no varying field of ``fields``)
-        broadcasts to every cell.
+        The result is a transposed view, device-major like the scalar
+        path, so ``argwhere`` meets the failing cells in its order. A single column (the values read no varying
+        field of ``fields``) broadcasts to every cell.
         """
-        if values.shape[1] > 1:
-            values = values[:, self.columns(fields)[1]]
-        return np.broadcast_to(values, (rows, self.count))
+        if len(values) > 1:
+            values = values[self.columns(fields)[1]]
+        return np.broadcast_to(values, (self.count, rows)).T
 
 
 def _check_finite(
@@ -514,11 +526,12 @@ def _metrics(
     names: Sequence[str],
     scenario_fields: "set[str]",
 ) -> "tuple[_ColumnLayout, dict[str, np.ndarray]]":
-    """Per-(device, column) metric arrays, mirroring the scalar reference.
+    """Per-(column, device) metric arrays, mirroring the scalar reference.
 
-    Returns ``(layout, metrics)``: each metric array holds its values
-    on the distinct columns of its :data:`_METRIC_FIELDS` entry
-    (``layout.spread`` gives the ``(devices, cells)`` view). Errors
+    Returns ``(layout, metrics)``: each metric array is ``(columns,
+    devices)``, its values on the distinct columns of its
+    :data:`_METRIC_FIELDS` entry (``layout.spread`` gives the
+    device-major ``(devices, cells)`` view). Errors
     name the first failing (device, cell) of that view, as a full
     broadcast would. Every expression replicates
     ``simulate_device``'s float operations in the same order and
@@ -611,7 +624,7 @@ def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
         _, metrics = _metrics(
             params, node_axis, murphy_mask, names, scenario_fields
         )
-        # One scenario without overrides: every metric is (devices, 1).
+        # One scenario without overrides: every metric is (1, devices).
         metrics["embodied_fraction"] = (
             metrics["embodied_kg"] / metrics["total_kg"]
         )
@@ -622,7 +635,7 @@ def simulate_device_batch(specs: Sequence[DeviceSpec]) -> Table:
             "device": list(names),
             "manufacturer": [spec.manufacturer for spec in specs],
             "node": [
-                _NODE_NAMES[index] for index in metrics["node_index"][:, 0]
+                _NODE_NAMES[index] for index in metrics["node_index"][0]
             ],
             "units": params["units"].reshape(-1),
         }

@@ -10,9 +10,9 @@ and returns an :class:`~repro.uncertainty.UncertainResult`.
 
 Sharding is over the *device* axis (scenarios stay whole). The sweep
 gathers the catalog's parameter columns once and ships row slices to
-the chunks; each chunk reduces its own (device, cell) quantities to an
+the chunks; each chunk reduces its own (cell, device) quantities to an
 *exact expansion* per cell — a few floats whose real sum is the chunk's
-column sum with no rounding (:func:`_exact_partials`), extracted once
+device sum with no rounding (:func:`_exact_partials`), extracted once
 per distinct column of the fields the quantity reads — so a chunk
 result is O(cells) whatever its device count. The sweep then runs one
 :func:`math.fsum` per cell over every chunk's expansion. ``fsum`` is
@@ -98,11 +98,12 @@ def _validate_axis_names(records: Sequence[Mapping[str, Any]]) -> None:
 
 
 def _exact_partials(values: np.ndarray) -> "list[list[float]]":
-    """Per-column exact expansions of a ``(rows, columns)`` float array.
+    """Per-column exact expansions of a ``(columns, rows)`` float array.
 
-    Each column's list of floats has the column sum as its exact real
-    sum, so :func:`math.fsum` over the lists of any row blocks is the
-    correctly rounded sum of all their rows. Each level is a
+    Each column is one array row, reduced along the contiguous
+    ``axis=1``; its list of floats has the column's row sum as its
+    exact real sum, so :func:`math.fsum` over the lists of any row
+    blocks is the correctly rounded sum of all their rows. Each level is a
     Rump–Ogita–Oishi error-free extraction: with ``σ = 2**(M + e)``,
     ``2**M >= rows + 2`` and ``2**e`` above the column's largest
     residual ``r``, the high parts ``q = (σ + r) − σ`` sum exactly in
@@ -111,26 +112,26 @@ def _exact_partials(values: np.ndarray) -> "list[list[float]]":
     raw, as do residuals left after :data:`_MAX_LEVELS` levels, so
     ``fsum`` meets their inf, nan and overflow as it would in the rows.
     """
-    shift = (len(values) + 1).bit_length()
+    shift = (values.shape[1] + 1).bit_length()
     residual = np.array(values, dtype=np.float64)
     high = np.abs(residual)
-    top = high.max(axis=0, initial=0.0)
+    top = high.max(axis=1, initial=0.0)
     raw = ~np.isfinite(top) | (np.frexp(top)[1] + shift > _MAX_SIGMA_EXPONENT)
-    residual[:, raw] = 0.0
+    residual[raw] = 0.0
     top[raw] = 0.0
     levels = []
     while top.any() and len(levels) < _MAX_LEVELS:
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)[:, None]
         np.add(residual, sigma, out=high)
         high -= sigma
-        levels.append(high.sum(axis=0))
+        levels.append(high.sum(axis=1))
         residual -= high
-        top = np.abs(residual, out=high).max(axis=0)
-    partials = np.reshape(levels, (len(levels), residual.shape[1])).T.tolist()
+        top = np.abs(residual, out=high).max(axis=1)
+    partials = np.reshape(levels, (len(levels), len(residual))).T.tolist()
     for column in np.flatnonzero(raw):
-        partials[column] += values[:, column].tolist()
+        partials[column] += values[column].tolist()
     for column in np.flatnonzero(top):
-        leftover = residual[:, column]
+        leftover = residual[column]
         partials[column] += leftover[leftover != 0.0].tolist()
     return partials
 
@@ -168,8 +169,8 @@ def _chunk_partials(grid: tuple, cells: int) -> tuple:
     raw = devices * cells <= _RAW_VALUES
     partials = {}
     for name, fields, values in _quantities(layout, metrics):
-        block = np.broadcast_to(values, (devices, values.shape[1]))
-        distinct = block.T.tolist() if raw else _exact_partials(block)
+        block = np.broadcast_to(values, (len(values), devices))
+        distinct = block.tolist() if raw else _exact_partials(block)
         if len(distinct) == 1:
             # One column (no varying field read): its sum in every cell.
             partials[name] = distinct * cells

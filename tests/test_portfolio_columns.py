@@ -299,13 +299,19 @@ class TestErrorLocation:
         assert str(caught.value) == expected
 
 
-def _spy(monkeypatch, module, name: str) -> list:
-    """Record the column count of every call to ``module.name``."""
+def _spy(monkeypatch, module, name: str, blocks: "list | None" = None) -> list:
+    """Record the column count of every call to ``module.name``.
+
+    Kernel arrays are ``(columns, devices)``, so the column count is the
+    leading axis. ``blocks``, when given, collects the arguments too.
+    """
     calls: list = []
     original = getattr(module, name)
 
     def spy(*arrays):
-        calls.append(np.broadcast_shapes(*(np.shape(a) for a in arrays))[1])
+        calls.append(np.broadcast_shapes(*(np.shape(a) for a in arrays))[0])
+        if blocks is not None:
+            blocks.extend(arrays)
         return original(*arrays)
 
     monkeypatch.setattr(module, name, spy)
@@ -330,7 +336,8 @@ class TestWorkBound:
         # Chunks must take the extraction path, not ship their rows raw.
         assert chunk * len(grid) > sweep._RAW_VALUES
         yields = _spy(monkeypatch, batch, "murphy_yield")
-        extractions = _spy(monkeypatch, sweep, "_exact_partials")
+        blocks: list = []
+        extractions = _spy(monkeypatch, sweep, "_exact_partials", blocks)
         table = sweep_portfolio(catalog, grid, chunk_size=chunk)
         assert table.num_rows == 64
         chunks = -(-len(catalog) // chunk)
@@ -340,3 +347,11 @@ class TestWorkBound:
         assert len(extractions) == 5 * chunks
         for start in range(0, len(extractions), 5):
             assert sum(extractions[start:start + 5]) <= 16 + 16 + 4 + 64 + 1
+        # Device-minor: each block reduces along its contiguous device axis.
+        sizes = [
+            min(chunk, len(catalog) - lo)
+            for lo in range(0, len(catalog), chunk)
+        ]
+        for index, block in enumerate(blocks):
+            assert block.shape == (extractions[index], sizes[index // 5])
+            assert block.strides[1] == 8

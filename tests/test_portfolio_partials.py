@@ -79,8 +79,12 @@ def _fsum_outcome(values) -> tuple:
 
 
 def _merged_outcomes(blocks: "list[np.ndarray]") -> list:
-    """Per-column ``fsum`` over the concatenated expansions of ``blocks``."""
-    partials = [_exact_partials(block) for block in blocks]
+    """Per-column ``fsum`` over the concatenated expansions of ``blocks``.
+
+    ``blocks`` are ``(rows, columns)``; the extraction takes the kernel's
+    ``(columns, rows)`` layout, so each block goes in transposed.
+    """
+    partials = [_exact_partials(block.T) for block in blocks]
     return [
         _fsum_outcome(itertools.chain.from_iterable(p[col] for p in partials))
         for col in range(blocks[0].shape[1])
@@ -123,6 +127,11 @@ class TestExactPartials:
     @example(matrix=np.array([[_INF, _NAN], [_INF, 2.0]]))
     @example(matrix=np.array([[1e308], [1e308], [-1e308]]))
     @example(matrix=np.array([[1.7e308], [-1.7e308], [5.0]]))
+    # Transposed back, a read-only np.broadcast_to view: what a chunk
+    # sends for a quantity that reads no varying field.
+    @example(
+        matrix=np.broadcast_to(np.array([[0.1, 1e20, -3.5, -1e20]]), (1, 4)).T
+    )
     def test_one_block_matches_fsum(self, matrix):
         assert _merged_outcomes([matrix]) == _row_outcomes(matrix)
 
@@ -156,7 +165,7 @@ class TestExactPartials:
             for k in range(10)
             for sign in (1.0, -1.0)
         ] + [1.0]
-        (partial,) = _exact_partials(np.array(column).reshape(-1, 1))
+        (partial,) = _exact_partials(np.array(column).reshape(1, -1))
         assert len(partial) > _MAX_LEVELS
         assert math.fsum(partial) == math.fsum(column) == 1.0
 
