@@ -10,11 +10,7 @@ from repro.experiments.fig01_ict_projections import run
 def test_bench_fig01(benchmark):
     result = benchmark(run)
     assert result.all_checks_pass
-    expected_2030 = result.table("expected").where(
-        lambda r: r["year"] == 2030
-    ).row(0)
+    expected_2030 = result.table("expected").where("year", "==", 2030).row(0)
     assert expected_2030["ict_share"] > 0.18
-    optimistic_2030 = result.table("optimistic").where(
-        lambda r: r["year"] == 2030
-    ).row(0)
+    optimistic_2030 = result.table("optimistic").where("year", "==", 2030).row(0)
     assert 0.06 < optimistic_2030["ict_share"] < 0.08

@@ -7,7 +7,5 @@ def test_bench_fig06(benchmark):
     result = benchmark(run)
     assert result.all_checks_pass
     per_power = result.table("per_power_class")
-    battery = per_power.where(
-        lambda r: r["power_class"] == "battery_powered"
-    ).row(0)
+    battery = per_power.where("power_class", "==", "battery_powered").row(0)
     assert 0.70 <= battery["manufacturing_mean"] <= 0.80

@@ -8,5 +8,5 @@ def test_bench_fig14(benchmark):
     assert result.all_checks_pass
     sweep = result.table("sweep")
     assert sweep.num_rows == 7
-    final = sweep.where(lambda r: r["factor"] == 64.0).row(0)
+    final = sweep.where("factor", "==", 64.0).row(0)
     assert abs(1.0 / final["total"] - 2.7) < 0.15

@@ -86,7 +86,8 @@ class AmortizationSchedule:
     ...     power=Power.watts(5.0),
     ...     grid=CarbonIntensity.g_per_kwh(380.0),
     ... )
-    >>> schedule.opex_after(schedule.break_even_seconds()).kilograms  # == capex
+    >>> opex = schedule.opex_after(schedule.break_even_seconds())
+    >>> round(opex.kilograms, 9)  # == capex, up to float rounding
     25.0
     """
 

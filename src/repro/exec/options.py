@@ -14,6 +14,7 @@ turned on by passing a caller-owned :class:`FailureReport` as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,9 +64,10 @@ class ExecOptions:
             )
         object.__setattr__(self, "retries", RetryPolicy.coerce(self.retries))
         if self.timeout is not None:
-            if self.timeout <= 0:
+            if not self.timeout > 0 or not math.isfinite(self.timeout):
                 raise ExecutionError(
-                    f"per-chunk timeout must be positive, got {self.timeout}"
+                    "per-chunk timeout must be positive and finite, got "
+                    f"{self.timeout}"
                 )
             if self.jobs == 1:
                 raise ExecutionError(

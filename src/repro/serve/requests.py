@@ -40,6 +40,7 @@ silently dropping them.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -194,8 +195,10 @@ def _parse_deadline(body: Mapping[str, Any]) -> "float | None":
             f"'deadline_s' must be a number of seconds, got "
             f"{type(deadline).__name__}"
         )
-    if deadline <= 0:
-        raise ServiceError(f"'deadline_s' must be positive, got {deadline}")
+    if not deadline > 0 or not math.isfinite(deadline):
+        raise ServiceError(
+            f"'deadline_s' must be positive and finite, got {deadline}"
+        )
     return float(deadline)
 
 

@@ -2,7 +2,7 @@
 
 Every analysis in the paper is a small relational computation over
 curated records: filter rows, derive columns, group, aggregate, sort,
-join, and render. :class:`Table` implements exactly that surface.
+and render. :class:`Table` implements exactly that surface.
 
 Tables are immutable from the caller's point of view: every operation
 returns a new :class:`Table`, and columns handed in or out are copied.
@@ -12,7 +12,7 @@ returns a new :class:`Table`, and columns handed in or out are copied.
 ...     {"vendor": "google", "kg": 45.0},
 ...     {"vendor": "apple", "kg": 66.0},
 ... ])
->>> t.where(lambda row: row["vendor"] == "apple").num_rows
+>>> t.where("vendor", "==", "apple").num_rows
 2
 >>> t.aggregate(by=["vendor"], total=("kg", sum)).sort_by("vendor").column("total")
 [126.0, 45.0]
@@ -25,10 +25,10 @@ arrays — ``float`` columns by ``float64``, ``int`` by ``int64``,
 ``bool`` by ``bool_``, and ``str`` by fixed-width unicode. Everything
 else (mixed types, ``None``, nested containers, huge integers) falls
 back to a plain Python list, and every operation on such a column runs
-the original row-at-a-time code path. The two representations are
-semantically identical: values always round-trip to native Python
-scalars at the API boundary (``column()``, ``row()``, iteration), so
-callers never see numpy scalar types.
+element by element. The two representations are semantically
+identical: values always round-trip to native Python scalars at the
+API boundary (``column()``, ``row()``, iteration), so callers never
+see numpy scalar types.
 
 When every participating column is numpy-backed, the relational
 operations use vectorized kernels:
@@ -38,16 +38,13 @@ operations use vectorized kernels:
   preserved) and reduce with segmented ``reduceat``/``bincount``
   kernels for the common reducers ``sum``/``len``/``min``/``max``,
 - ``sort_by`` is a stable ``np.lexsort`` (including stable descending),
-- ``join`` is a vectorized hash join over factorized keys,
-- ``head``/``_take`` are index/slice based (``head`` returns zero-copy
-  views of the backing arrays).
+- ``_take`` gathers rows by index (a slice gives zero-copy views).
 
 Expression API
 --------------
 
-Alongside the original callable API (``where(lambda row: ...)``,
-``with_column(name, fn)`` — both unchanged), hot paths can use column
-expressions that never materialize row dicts:
+Filters and derived columns are column expressions, which never
+materialize row dicts:
 
 >>> t.where("kg", ">=", 50.0).num_rows            # comparison shorthand
 2
@@ -57,9 +54,9 @@ expressions that never materialize row dicts:
 0.06
 
 Expressions compose with arithmetic (``+ - * / // % **``), comparisons,
-``& | ~`` on boolean masks, and ``col(name).isin(values)``. On
-numpy-backed columns they evaluate as single array operations; on
-fallback columns they evaluate element-wise with identical semantics.
+and ``& | ~`` on boolean masks. On numpy-backed columns they evaluate
+as single array operations; on fallback columns they evaluate
+element-wise with identical semantics.
 """
 
 from __future__ import annotations
@@ -91,54 +88,6 @@ _COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
 
 #: Sentinel distinguishing "value not supplied" from a literal None.
 _MISSING = object()
-
-#: Largest magnitude exactly representable in float64 — int keys beyond
-#: it cannot be safely compared through a float promotion.
-_FLOAT_EXACT_INT = 2**53
-
-
-def _membership(values: list[Any]) -> Any:
-    """A container with Python ``in`` semantics (set when hashable)."""
-    try:
-        return set(values)
-    except TypeError:
-        return values
-
-
-def _isin_mask(backing: np.ndarray | list[Any], values: list[Any]) -> Any:
-    """Membership mask with Python equality semantics on either backing.
-
-    ``np.isin`` coerces its second argument to a single dtype, which
-    diverges from element-wise ``in`` for mixed-type value lists (and
-    for int keys beyond float64 precision) — those cases take the
-    element-wise path instead.
-    """
-    if isinstance(backing, np.ndarray):
-        kind = backing.dtype.kind
-        if kind == "U":
-            safe = all(type(v) is str for v in values)
-        elif kind in "biuf":
-            safe = all(
-                isinstance(v, (bool, int, float)) and abs(v) <= _FLOAT_EXACT_INT
-                for v in values
-            )
-            if safe and kind in "iu" and any(type(v) is float for v in values):
-                safe = (
-                    backing.size == 0
-                    or (
-                        -_FLOAT_EXACT_INT <= int(backing.min())
-                        and int(backing.max()) <= _FLOAT_EXACT_INT
-                    )
-                )
-        else:
-            safe = False
-        if safe:
-            return np.isin(backing, values)
-        members = _membership(values)
-        return [v in members for v in backing.tolist()]
-    members = _membership(values)
-    return [v in members for v in backing]
-
 
 def _sniff(values: list[Any]) -> np.ndarray | list[Any]:
     """Choose a backing for ``values``: numpy when exact, else the list.
@@ -196,6 +145,21 @@ def _as_list(backing: np.ndarray | list[Any]) -> list[Any]:
 def _scalar(backing: np.ndarray | list[Any], index: int) -> Any:
     value = backing[index]
     return value.item() if isinstance(backing, np.ndarray) else value
+
+
+def _same_values(
+    mine: np.ndarray | list[Any], theirs: np.ndarray | list[Any]
+) -> bool:
+    """Whether two equally long backings hold the same typed values."""
+    if isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray):
+        kind = mine.dtype.kind
+        return kind == theirs.dtype.kind and np.array_equal(
+            mine, theirs, equal_nan=kind == "f"
+        )
+    return all(
+        type(a) is type(b) and (a == b or (a != a and b != b))
+        for a, b in zip(_as_list(mine), _as_list(theirs))
+    )
 
 
 def _factorize(array: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -309,10 +273,6 @@ class Expr:
     def __invert__(self) -> "Expr":
         return _Unary(np.logical_not, self, python_op=operator.not_)
 
-    def isin(self, values: Iterable[Any]) -> "Expr":
-        """Membership mask: true where the value is in ``values``."""
-        return _IsIn(self, list(values))
-
 
 class _Column(Expr):
     def __init__(self, name: str) -> None:
@@ -370,15 +330,6 @@ class _Unary(Expr):
             op = self.python_op
             return [op(v) for v in value]
         return self.op(value)
-
-
-class _IsIn(Expr):
-    def __init__(self, inner: Expr, values: list[Any]) -> None:
-        self.inner = inner
-        self.values = values
-
-    def _evaluate(self, table: "Table") -> np.ndarray | list[Any]:
-        return _isin_mask(_operand(self.inner, table), self.values)
 
 
 def _operand(node: Any, table: "Table") -> Any:
@@ -475,10 +426,6 @@ class Table:
         return cls._from_backing(data, len(records))
 
     @classmethod
-    def empty(cls, columns: Sequence[str]) -> "Table":
-        return cls({name: [] for name in columns})
-
-    @classmethod
     def concat(cls, tables: Sequence["Table"]) -> "Table":
         """Stack tables with identical columns, preserving row order.
 
@@ -530,20 +477,18 @@ class Table:
             yield dict(zip(names, values))
 
     def __eq__(self, other: object) -> bool:
+        """Exact equality: same column order, same values of the same
+        types (array columns of the same dtype kind), NaN equal to NaN."""
         if not isinstance(other, Table):
             return NotImplemented
-        if set(self._columns) != set(other._columns):
+        if list(self._columns) != list(other._columns):
             return False
         if self._length != other._length:
             return False
-        for name, mine in self._columns.items():
-            theirs = other._columns[name]
-            if isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray):
-                if not np.array_equal(mine, theirs):
-                    return False
-            elif _as_list(mine) != _as_list(theirs):
-                return False
-        return True
+        return all(
+            _same_values(mine, other._columns[name])
+            for name, mine in self._columns.items()
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -598,37 +543,19 @@ class Table:
             {name: self._columns[name] for name in names}, self._length
         )
 
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns according to ``mapping`` (old name -> new name)."""
-        for old in mapping:
-            if old not in self._columns:
-                raise TableError(f"unknown column {old!r}; have {self.column_names}")
-        return Table._from_backing(
-            {
-                mapping.get(name, name): values
-                for name, values in self._columns.items()
-            },
-            self._length,
-        )
-
     def where(
-        self,
-        predicate: Callable[[Row], bool] | Expr | str,
-        op: str | None = None,
-        value: Any = _MISSING,
+        self, predicate: Expr | str, op: str | None = None, value: Any = _MISSING
     ) -> "Table":
         """Keep rows matching a predicate.
 
-        Three forms are accepted:
+        Two forms are accepted:
 
-        - ``where(lambda row: ...)`` — the original callable API; the
-          predicate sees each row as a dict.
         - ``where("year", ">=", 2015)`` — comparison shorthand against
-          one column (operators ``== != < <= > >= in not-in``).
+          one column (operators ``== != < <= > >=``).
         - ``where(col("year") >= 2015)`` — an :class:`Expr` mask.
 
-        The two expression forms evaluate as single vectorized array
-        operations on numpy-backed columns.
+        Both evaluate as single vectorized array operations on
+        numpy-backed columns.
         """
         if isinstance(predicate, str):
             if op is None or value is _MISSING:
@@ -642,8 +569,10 @@ class Table:
                 raise TableError("operator form needs a column name, not an Expr")
             mask = predicate._evaluate(self)
         else:
-            keep = [index for index, row in enumerate(self) if predicate(row)]
-            return self._take(keep)
+            raise TableError(
+                "where() takes a column name, an operator and a value, "
+                f"or a col() expression; got {type(predicate).__name__}"
+            )
         if isinstance(mask, (bool, np.bool_)):
             # A dtype-mismatched comparison collapses to one scalar
             # (e.g. string column == int); broadcast it over all rows.
@@ -661,29 +590,19 @@ class Table:
     def _compare_column(self, name: str, op: str, value: Any) -> Any:
         if name not in self._columns:
             raise TableError(f"unknown column {name!r}; have {self.column_names}")
-        backing = self._columns[name]
-        if op in ("in", "not in"):
-            mask = _isin_mask(backing, list(value))
-            if op == "not in":
-                return ~mask if isinstance(mask, np.ndarray) else [not m for m in mask]
-            return mask
         compare = _COMPARISONS.get(op)
         if compare is None:
-            raise TableError(
-                f"unknown operator {op!r}; have {sorted(_COMPARISONS) + ['in', 'not in']}"
-            )
+            raise TableError(f"unknown operator {op!r}; have {sorted(_COMPARISONS)}")
+        backing = self._columns[name]
         if isinstance(backing, np.ndarray):
             return compare(backing, value)
         return [compare(v, value) for v in backing]
 
-    def with_column(
-        self, name: str, values: Sequence[Any] | Callable[[Row], Any] | Expr
-    ) -> "Table":
+    def with_column(self, name: str, values: Sequence[Any] | Expr) -> "Table":
         """Add or replace a column.
 
-        ``values`` may be a sequence, a per-row callable (original
-        API, unchanged), or an :class:`Expr` such as ``col("kg") * 2``
-        (vectorized on numpy-backed columns).
+        ``values`` is a sequence or an :class:`Expr` such as
+        ``col("kg") * 2`` (vectorized on numpy-backed columns).
         """
         if isinstance(values, Expr):
             computed = values._evaluate(self)
@@ -691,18 +610,17 @@ class Table:
                 backing: np.ndarray | list[Any] = computed
             else:
                 backing = _sniff(list(computed))
-            if len(backing) != self._length:
-                raise TableError(
-                    f"column {name!r} has {len(backing)} values, expected {self._length}"
-                )
         elif callable(values):
-            backing = _sniff([values(row) for row in self])
+            raise TableError(
+                "with_column() takes a sequence or a col() expression; "
+                f"got {type(values).__name__}"
+            )
         else:
             backing = _adopt(values)
-            if len(backing) != self._length:
-                raise TableError(
-                    f"column {name!r} has {len(backing)} values, expected {self._length}"
-                )
+        if len(backing) != self._length:
+            raise TableError(
+                f"column {name!r} has {len(backing)} values, expected {self._length}"
+            )
         columns = dict(self._columns)
         columns[name] = backing
         return Table._from_backing(columns, self._length)
@@ -740,43 +658,6 @@ class Table:
             reverse=reverse,
         )
         return self._take(order)
-
-    def head(self, count: int) -> "Table":
-        """Return the first ``count`` rows (zero-copy on array columns)."""
-        if count < 0:
-            raise TableError("head() count must be non-negative")
-        return self._take(slice(0, min(count, self._length)))
-
-    def unique(self, name: str) -> list[Any]:
-        """Distinct values of a column, in first-appearance order."""
-        seen: dict[Any, None] = {}
-        for value in self.column(name):
-            seen.setdefault(value, None)
-        return list(seen.keys())
-
-    def describe(self) -> "Table":
-        """Min/mean/max summary of every numeric column."""
-        records: list[Row] = []
-        for name in self.column_names:
-            numeric = [
-                float(value)
-                for value in self._list(name)
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            ]
-            if not numeric:
-                continue
-            records.append(
-                {
-                    "column": name,
-                    "count": len(numeric),
-                    "min": min(numeric),
-                    "mean": sum(numeric) / len(numeric),
-                    "max": max(numeric),
-                }
-            )
-        if not records:
-            raise TableError("describe() needs at least one numeric column")
-        return Table.from_records(records)
 
     def group_by(self, *names: str) -> list[tuple[tuple[Any, ...], "Table"]]:
         """Partition rows by the named key columns.
@@ -947,118 +828,6 @@ class Table:
                 )
         return Table._from_backing(columns, count)
 
-    def join(self, other: "Table", on: str | Sequence[str]) -> "Table":
-        """Inner-join with ``other`` on the named key column(s).
-
-        Non-key columns that exist in both tables are taken from the
-        right table under the suffix ``_right``. Output rows follow the
-        left table's row order; multiple right matches appear in the
-        right table's row order.
-        """
-        keys = [on] if isinstance(on, str) else list(on)
-        for key in keys:
-            if key not in self._columns:
-                raise TableError(f"left table lacks join column {key!r}")
-            if key not in other._columns:
-                raise TableError(f"right table lacks join column {key!r}")
-        right_extra = [name for name in other.column_names if name not in keys]
-        out_for = {
-            name: f"{name}_right" if name in self._columns else name
-            for name in right_extra
-        }
-        takes = self._join_takes(other, keys)
-        if takes is None:
-            return self._join_python(other, keys, right_extra, out_for)
-        left_take, right_take = takes
-        columns: dict[str, np.ndarray | list[Any]] = {}
-        for name in self.column_names:
-            columns[name] = _gather(self._columns[name], left_take)
-        for name in right_extra:
-            columns[out_for[name]] = _gather(other._columns[name], right_take)
-        return Table._from_backing(columns, int(left_take.size))
-
-    def _join_takes(
-        self, other: "Table", keys: list[str]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Row-index pairs of the inner join, via factorized hash join.
-
-        Returns ``None`` when any key column pair cannot be factorized
-        with hash-identical semantics (object fallback, NaN keys, or a
-        string/numeric kind mismatch that numpy would coerce)."""
-        merged: list[np.ndarray] = []
-        for key in keys:
-            left = self._columns[key]
-            right = other._columns[key]
-            if not (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)):
-                return None
-            numeric = left.dtype.kind in "biuf" and right.dtype.kind in "biuf"
-            textual = left.dtype.kind == "U" and right.dtype.kind == "U"
-            if not (numeric or textual):
-                return None
-            for side in (left, right):
-                if side.dtype.kind == "f" and np.isnan(side).any():
-                    return None
-            if numeric and left.dtype.kind != right.dtype.kind:
-                # Mixed int/float keys promote to float64 on concat;
-                # ints beyond 2**53 would collapse onto neighbours that
-                # Python equality keeps distinct.
-                for side in (left, right):
-                    if side.dtype.kind in "iu" and side.size and (
-                        int(side.min()) < -_FLOAT_EXACT_INT
-                        or int(side.max()) > _FLOAT_EXACT_INT
-                    ):
-                        return None
-            merged.append(np.concatenate((left, right)))
-        n_left = self._length
-        codes, count, _ = _factorize(merged[0])
-        for column in merged[1:]:
-            extra, extra_count, _ = _factorize(column)
-            if count * extra_count >= 2**62:
-                return None
-            codes, count, _ = _factorize(codes * extra_count + extra)
-        left_codes = codes[:n_left]
-        right_codes = codes[n_left:]
-        right_order = np.argsort(right_codes, kind="stable")
-        counts = np.bincount(right_codes, minlength=count)
-        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        matches = counts[left_codes]
-        left_take = np.repeat(np.arange(n_left), matches)
-        total = int(matches.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        segment_start = np.repeat(group_starts[left_codes], matches)
-        segment_offset = np.arange(total) - np.repeat(
-            np.cumsum(matches) - matches, matches
-        )
-        right_take = right_order[segment_start + segment_offset]
-        return left_take, right_take
-
-    def _join_python(
-        self,
-        other: "Table",
-        keys: list[str],
-        right_extra: list[str],
-        out_for: dict[str, str],
-    ) -> "Table":
-        right_keys = [other._list(name) for name in keys]
-        right_index: dict[tuple[Any, ...], list[int]] = {}
-        for index, key in enumerate(zip(*right_keys)):
-            right_index.setdefault(key, []).append(index)
-        left_keys = [self._list(name) for name in keys]
-        left_take: list[int] = []
-        right_take: list[int] = []
-        for index, key in enumerate(zip(*left_keys)):
-            for right_row in right_index.get(key, ()):
-                left_take.append(index)
-                right_take.append(right_row)
-        columns: dict[str, np.ndarray | list[Any]] = {}
-        for name in self.column_names:
-            columns[name] = _gather(self._columns[name], left_take)
-        for name in right_extra:
-            columns[out_for[name]] = _gather(other._columns[name], right_take)
-        return Table._from_backing(columns, len(left_take))
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
@@ -1133,13 +902,3 @@ class Table:
                 columns[name] = [values[i] for i in list_index]
         return Table._from_backing(columns, len(indices))
 
-
-def _gather(
-    backing: np.ndarray | list[Any], indices: np.ndarray | list[int]
-) -> np.ndarray | list[Any]:
-    """Column values at ``indices``, preserving the backing kind."""
-    if isinstance(backing, np.ndarray):
-        return backing[np.asarray(indices, dtype=np.intp)]
-    if isinstance(indices, np.ndarray):
-        indices = indices.tolist()
-    return [backing[i] for i in indices]

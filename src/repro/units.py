@@ -7,11 +7,11 @@ Each gets a small immutable value type with explicit constructors and
 only the arithmetic that is dimensionally meaningful:
 
 >>> power = Power.watts(5.0)
->>> energy = power * hours(2)
+>>> energy = power.energy_over(hours(2))
 >>> energy.kilowatt_hours
 0.01
 >>> grid = CarbonIntensity.g_per_kwh(380.0)
->>> (energy * grid).grams
+>>> round((energy * grid).grams, 9)
 3.8
 
 Canonical internal units are joules (energy), watts (power), grams CO2e

@@ -8,6 +8,7 @@ must carry a docstring — the documentation deliverable, enforced.
 
 from __future__ import annotations
 
+import doctest
 import importlib
 import inspect
 import pkgutil
@@ -45,6 +46,25 @@ def _all_modules() -> list[str]:
             for info in pkgutil.iter_modules(package.__path__):
                 names.append(f"{package_name}.{info.name}")
     return sorted(set(names))
+
+
+def _modules_with_examples() -> list[str]:
+    finder = doctest.DocTestFinder()
+    return [
+        name
+        for name in _all_modules()
+        if any(test.examples for test in finder.find(importlib.import_module(name)))
+    ]
+
+
+@pytest.mark.parametrize("module_name", _modules_with_examples())
+def test_docstring_examples_run(module_name):
+    module = importlib.import_module(module_name)
+    result = doctest.testmod(module, report=False)
+    assert result.attempted > 0
+    assert result.failed == 0, (
+        f"{result.failed} of {result.attempted} doctest examples fail in {module_name}"
+    )
 
 
 @pytest.mark.parametrize("module_name", _all_modules())

@@ -301,6 +301,12 @@ class TestInlineRecovery:
                 _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
                 chunk_size=_PLAN.chunk_size, timeout=-1.0, jobs=2,
             )
+        for timeout in (float("nan"), float("inf")):
+            with pytest.raises(ExecutionError, match="positive and finite"):
+                run_sharded(
+                    _square_chunk, _PAYLOAD, _PLAN.num_scenarios,
+                    chunk_size=_PLAN.chunk_size, timeout=timeout, jobs=2,
+                )
         with pytest.raises(ExecutionError):
             # Inline chunks cannot be cancelled, so a timeout needs jobs > 1.
             run_sharded(

@@ -17,6 +17,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.result import Check, ExperimentResult
+from repro.tabular import col
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ class TestHeadlineNumbers:
     def test_pixel3_three_year_amortization(self, results):
         table = results["fig10"].table("break_even")
         mnv3_dsp = table.where(
-            lambda r: r["model"] == "mobilenet_v3" and r["processor"] == "dsp"
+            (col("model") == "mobilenet_v3") & (col("processor") == "dsp")
         ).row(0)
         assert mnv3_dsp["break_even_days"] > 3 * 365
 

@@ -11,34 +11,7 @@ from repro.datacenter.fleet import FleetParameters, simulate_fleet
 from repro.datacenter.scheduler import BatchJob, schedule_carbon_aware
 from repro.datacenter.server import WEB_SERVER
 from repro.core.intensity import market_based_intensity
-from repro.tabular import Table
 from repro.units import Carbon, CarbonIntensity
-
-
-class TestMultiKeyJoin:
-    def test_join_on_two_columns(self):
-        left = Table.from_records(
-            [
-                {"vendor": "apple", "year": 2019, "total": 74.0},
-                {"vendor": "apple", "year": 2018, "total": 67.0},
-                {"vendor": "google", "year": 2019, "total": 62.0},
-            ]
-        )
-        right = Table.from_records(
-            [
-                {"vendor": "apple", "year": 2019, "ships_m": 150.0},
-                {"vendor": "google", "year": 2019, "ships_m": 7.0},
-            ]
-        )
-        joined = left.join(right, on=["vendor", "year"])
-        assert joined.num_rows == 2
-        apple = joined.where(lambda r: r["vendor"] == "apple").row(0)
-        assert apple["total"] == 74.0 and apple["ships_m"] == 150.0
-
-    def test_partial_key_matches_do_not_join(self):
-        left = Table.from_records([{"a": 1, "b": 1}])
-        right = Table.from_records([{"a": 1, "b": 2, "v": "x"}])
-        assert left.join(right, on=["a", "b"]).num_rows == 0
 
 
 class TestSecondRefreshWave:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import subprocess
@@ -233,7 +234,9 @@ class TestParseRequest:
         with pytest.raises(ServiceError, match="number or string"):
             parse_request("scenario", {"overrides": {"x": value}})
 
-    @pytest.mark.parametrize("deadline", [0, -1.0, "soon", True])
+    @pytest.mark.parametrize(
+        "deadline", [0, -1.0, "soon", True, math.nan, math.inf]
+    )
     def test_deadline_must_be_a_positive_number(self, deadline):
         with pytest.raises(ServiceError, match="deadline_s"):
             parse_request("scenario", {"deadline_s": deadline})

@@ -133,20 +133,3 @@ class TestTableConcat:
         list_backed = Table({"a": [None]})
         combined = Table.concat([array_backed, list_backed])
         assert combined.column("a") == [1.0, 2.0, None]
-
-
-class TestTableDescribe:
-    def test_summarizes_numeric_columns_only(self):
-        table = Table({"v": [1.0, 2.0, 3.0], "label": ["a", "b", "c"]})
-        summary = table.describe()
-        assert summary.column("column") == ["v"]
-        row = summary.row(0)
-        assert row["min"] == 1.0 and row["max"] == 3.0 and row["mean"] == 2.0
-
-    def test_booleans_excluded(self):
-        table = Table({"flag": [True, False], "v": [1, 2]})
-        assert table.describe().column("column") == ["v"]
-
-    def test_all_text_rejected(self):
-        with pytest.raises(TableError):
-            Table({"label": ["a", "b"]}).describe()
